@@ -107,6 +107,11 @@ impl QualityController {
         })
     }
 
+    /// The boosting configuration [`QualityController::train`] fits with.
+    pub fn config(&self) -> &GbdtConfig {
+        &self.config
+    }
+
     /// Whether [`QualityController::train`] has been called.
     pub fn is_trained(&self) -> bool {
         self.model.is_some()

@@ -16,7 +16,14 @@
 //!
 //! The datasets CQC sees are small (hundreds of rows, tens of features), so
 //! exact greedy splitting is the right engineering choice — no histograms
-//! needed.
+//! needed. It runs on XGBoost's presorted "column block" layout (Chen &
+//! Guestrin, KDD'16): each feature is ranked once per fit, each round's
+//! subsample is counting-sorted by rank once per feature and shared by that
+//! round's class trees, and each tree splits its nodes by stable partitions
+//! of those sorted blocks — `O(m)` per feature per tree level for `m`
+//! sampled rows, with no per-node sort. The trees are bit-identical to the
+//! textbook recursive builder (sort every node's rows per feature), which
+//! the unit tests keep as their oracle.
 //!
 //! # Example
 //!

@@ -1,11 +1,14 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
-use crate::tree::{RegressionTree, SplitMode, TreeParams};
+use crate::tree::{RegressionTree, SplitMode, TreeBuilder, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
+
+#[cfg(test)]
+mod reference;
 
 /// Hyperparameters of [`GbdtClassifier::fit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,25 +62,27 @@ impl GbdtConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.rounds > 0, "need at least one boosting round");
-        assert!(self.learning_rate > 0.0, "learning rate must be positive");
-        assert!(
-            self.lambda >= 0.0 && self.gamma >= 0.0,
-            "regularizers must be >= 0"
-        );
-        assert!(
-            self.subsample > 0.0 && self.subsample <= 1.0,
-            "subsample must be in (0, 1]"
-        );
-        assert!(
-            self.colsample > 0.0 && self.colsample <= 1.0,
-            "colsample must be in (0, 1]"
-        );
-        assert!(
-            self.min_child_weight >= 0.0,
-            "min_child_weight must be >= 0"
-        );
+    /// The first constraint this configuration breaks, as the message
+    /// [`GbdtClassifier::fit`] panics with; `None` when it is valid. Decoding
+    /// rejects exactly the configurations `fit` rejects, so a system that
+    /// boots with a configuration can also resume from its checkpoint.
+    fn violation(&self) -> Option<&'static str> {
+        let finite_at_least_zero = |x: f64| x.is_finite() && x >= 0.0;
+        if self.rounds == 0 {
+            Some("need at least one boosting round")
+        } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            Some("learning rate must be positive")
+        } else if !(finite_at_least_zero(self.lambda) && finite_at_least_zero(self.gamma)) {
+            Some("regularizers must be >= 0")
+        } else if !(self.subsample > 0.0 && self.subsample <= 1.0) {
+            Some("subsample must be in (0, 1]")
+        } else if !(self.colsample > 0.0 && self.colsample <= 1.0) {
+            Some("colsample must be in (0, 1]")
+        } else if !finite_at_least_zero(self.min_child_weight) {
+            Some("min_child_weight must be >= 0")
+        } else {
+            None
+        }
     }
 }
 
@@ -173,7 +178,9 @@ impl GbdtClassifier {
     /// Panics if inputs are empty or ragged, a label is `>= classes`, a
     /// feature is NaN, or the configuration is invalid.
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
-        config.validate();
+        if let Some(message) = config.violation() {
+            panic!("{message}");
+        }
         assert!(!rows.is_empty(), "training set must be non-empty");
         assert_eq!(rows.len(), labels.len(), "one label per row");
         assert!(classes >= 2, "need at least two classes");
@@ -199,9 +206,6 @@ impl GbdtClassifier {
         let total: f64 = counts.iter().sum();
         let base_scores: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
 
-        // Raw scores per (row, class).
-        let mut scores: Vec<Vec<f64>> = vec![base_scores.clone(); n];
-
         let params = TreeParams {
             max_depth: config.max_depth,
             lambda: config.lambda,
@@ -209,52 +213,74 @@ impl GbdtClassifier {
             min_child_weight: config.min_child_weight,
             split_mode: config.split_mode,
         };
+        let mut builder = TreeBuilder::new(rows, params);
+
+        // Raw scores and their softmax, row-major `[row * classes + class]`;
+        // these and every other buffer below live for the whole fit.
+        let mut scores: Vec<f64> = base_scores.repeat(n);
+        let mut probs = vec![0.0; n * classes];
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; n];
+        let mut rows_used: Vec<u32> = Vec::with_capacity(n);
+        let mut in_sample = vec![true; n];
+        let mut cols_used: Vec<usize> = Vec::with_capacity(n_features);
 
         let mut trees = Vec::with_capacity(config.rounds);
         let mut importance = vec![0.0; n_features];
-        let all_rows: Vec<usize> = (0..n).collect();
-        let all_cols: Vec<usize> = (0..n_features).collect();
 
         for _ in 0..config.rounds {
             // Row subsample for this round.
-            let rows_used: Vec<usize> = if config.subsample < 1.0 {
+            rows_used.clear();
+            rows_used.extend(0..n as u32);
+            if config.subsample < 1.0 {
                 let take = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-                let mut shuffled = all_rows.clone();
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(take);
-                shuffled
-            } else {
-                all_rows.clone()
-            };
+                rows_used.shuffle(&mut rng);
+                rows_used.truncate(take);
+                in_sample.fill(false);
+                for &r in &rows_used {
+                    in_sample[r as usize] = true;
+                }
+            }
+            builder.begin_round(&rows_used);
 
             // Softmax probabilities for the current scores.
-            let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
+            for (score, prob) in scores
+                .chunks_exact(classes)
+                .zip(probs.chunks_exact_mut(classes))
+            {
+                softmax_into(score, prob);
+            }
 
             let mut round_trees = Vec::with_capacity(classes);
             for class in 0..classes {
-                let grad: Vec<f64> = (0..n)
-                    .map(|i| probs[i][class] - if labels[i] == class { 1.0 } else { 0.0 })
-                    .collect();
-                let hess: Vec<f64> = (0..n)
-                    .map(|i| (probs[i][class] * (1.0 - probs[i][class])).max(1e-6))
-                    .collect();
+                for (i, prob) in probs.chunks_exact(classes).enumerate() {
+                    let p = prob[class];
+                    grad[i] = p - if labels[i] == class { 1.0 } else { 0.0 };
+                    hess[i] = (p * (1.0 - p)).max(1e-6);
+                }
 
-                let cols_used: Vec<usize> = if config.colsample < 1.0 {
+                cols_used.clear();
+                cols_used.extend(0..n_features);
+                if config.colsample < 1.0 {
                     let take = ((n_features as f64 * config.colsample).round() as usize)
                         .clamp(1, n_features);
-                    let mut shuffled = all_cols.clone();
-                    shuffled.shuffle(&mut rng);
-                    shuffled.truncate(take);
-                    shuffled
-                } else {
-                    all_cols.clone()
-                };
+                    cols_used.shuffle(&mut rng);
+                    cols_used.truncate(take);
+                }
 
-                let tree = RegressionTree::fit(rows, &grad, &hess, &rows_used, &cols_used, &params);
+                let tree = builder.fit(&grad, &hess, &cols_used);
                 tree.accumulate_importance(&mut importance);
-                // Update scores for all rows (not just the subsample).
+                // Update scores for all rows (not just the subsample): a
+                // subsample row takes the weight of the leaf the builder put
+                // it in, which is the leaf `predict` routes it to.
+                let leaf_weights = builder.leaf_weights();
                 for (i, row) in rows.iter().enumerate() {
-                    scores[i][class] += config.learning_rate * tree.predict(row);
+                    let weight = if in_sample[i] {
+                        leaf_weights[i]
+                    } else {
+                        tree.predict(row)
+                    };
+                    scores[i * classes + class] += config.learning_rate * weight;
                 }
                 round_trees.push(tree);
             }
@@ -375,20 +401,7 @@ impl Decode for GbdtConfig {
             split_mode: SplitMode::decode(r)?,
             seed: u64::decode(r)?,
         };
-        let valid = config.rounds > 0
-            && config.learning_rate.is_finite()
-            && config.learning_rate > 0.0
-            && config.lambda.is_finite()
-            && config.lambda >= 0.0
-            && config.gamma.is_finite()
-            && config.gamma >= 0.0
-            && config.min_child_weight.is_finite()
-            && config.min_child_weight >= 0.0
-            && config.subsample > 0.0
-            && config.subsample <= 1.0
-            && config.colsample > 0.0
-            && config.colsample <= 1.0;
-        if !valid {
+        if config.violation().is_some() {
             return Err(DecodeError::Invalid);
         }
         Ok(config)
@@ -414,12 +427,18 @@ impl Decode for GbdtClassifier {
         let features = usize::decode(r)?;
         let learning_rate = f64::decode(r)?;
         let importance = Vec::<f64>::decode(r)?;
+        // Every split must index a feature the model has (`predict` would
+        // panic on `row[feature]` otherwise) and every score term must be
+        // finite; the tree decoder already checked its own numbers.
         let valid = classes >= 2
             && features > 0
             && base_scores.len() == classes
+            && base_scores.iter().all(|s| s.is_finite())
             && importance.len() == features
             && learning_rate.is_finite()
-            && trees.iter().all(|round| round.len() == classes);
+            && trees.iter().all(|round| {
+                round.len() == classes && round.iter().all(|t| t.features_used() <= features)
+            });
         if !valid {
             return Err(DecodeError::Invalid);
         }
@@ -444,10 +463,21 @@ fn log_loss_of_scores(scores: &[Vec<f64>], labels: &[usize]) -> f64 {
 }
 
 fn softmax(scores: &[f64]) -> Vec<f64> {
+    let mut probs = vec![0.0; scores.len()];
+    softmax_into(scores, &mut probs);
+    probs
+}
+
+/// Writes the softmax of `scores` into `probs` (same length).
+fn softmax_into(scores: &[f64], probs: &mut [f64]) {
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / sum).collect()
+    for (p, s) in probs.iter_mut().zip(scores) {
+        *p = (s - max).exp();
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
 }
 
 #[cfg(test)]
@@ -669,6 +699,155 @@ mod tests {
         assert_eq!(model, restored);
         let config = GbdtConfig::histogram(32);
         assert_eq!(GbdtConfig::from_bytes(&config.to_bytes()), Ok(config));
+    }
+
+    /// A one-round, two-class, one-feature model frame whose trees are a
+    /// single split over two leaves, with the given split and leaf fields.
+    fn crafted_frame(feature: usize, threshold: f64, gain: f64, leaf: f64) -> Vec<u8> {
+        let mut out = Vec::new();
+        1usize.encode(&mut out); // rounds
+        2usize.encode(&mut out); // trees in the round
+        for _ in 0..2 {
+            3usize.encode(&mut out); // nodes
+            1u8.encode(&mut out);
+            feature.encode(&mut out);
+            threshold.encode(&mut out);
+            gain.encode(&mut out);
+            1usize.encode(&mut out);
+            2usize.encode(&mut out);
+            0u8.encode(&mut out);
+            leaf.encode(&mut out);
+            0u8.encode(&mut out);
+            0.5f64.encode(&mut out);
+        }
+        vec![-0.7f64, -0.7].encode(&mut out); // base scores
+        2usize.encode(&mut out); // classes
+        1usize.encode(&mut out); // features
+        0.1f64.encode(&mut out); // learning rate
+        vec![1.0f64].encode(&mut out); // importance
+        out
+    }
+
+    #[test]
+    fn crafted_frame_decodes_when_well_formed() {
+        let model = GbdtClassifier::from_bytes(&crafted_frame(0, 0.5, 1.0, -0.5))
+            .expect("well-formed frame");
+        let p = model.predict_proba(&[0.0]);
+        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decode_rejects_splits_on_missing_features() {
+        // Would panic on `row[feature]` at the first `predict`.
+        for feature in [1, 7, usize::MAX >> 1] {
+            assert_eq!(
+                GbdtClassifier::from_bytes(&crafted_frame(feature, 0.5, 1.0, -0.5)),
+                Err(DecodeError::Invalid),
+                "feature {feature}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_tree_numbers() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for frame in [
+                crafted_frame(0, bad, 1.0, -0.5),
+                crafted_frame(0, 0.5, bad, -0.5),
+                crafted_frame(0, 0.5, 1.0, bad),
+            ] {
+                assert_eq!(
+                    GbdtClassifier::from_bytes(&frame),
+                    Err(DecodeError::Invalid)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn config_decode_accepts_exactly_what_fit_accepts() {
+        let (rows, labels) = blobs(4);
+        let base = GbdtConfig {
+            rounds: 2,
+            ..GbdtConfig::small()
+        };
+        let mut configs = vec![
+            base.clone(),
+            GbdtConfig {
+                rounds: 0,
+                ..base.clone()
+            },
+            GbdtConfig {
+                lambda: 0.0,
+                gamma: 0.0,
+                min_child_weight: 0.0,
+                subsample: 1.0,
+                colsample: 1.0,
+                ..base.clone()
+            },
+            GbdtConfig {
+                subsample: 1.5,
+                ..base.clone()
+            },
+            GbdtConfig {
+                colsample: 0.0,
+                ..base.clone()
+            },
+        ];
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            configs.push(GbdtConfig {
+                learning_rate: bad,
+                ..base.clone()
+            });
+            configs.push(GbdtConfig {
+                lambda: bad,
+                ..base.clone()
+            });
+            configs.push(GbdtConfig {
+                gamma: bad,
+                ..base.clone()
+            });
+            configs.push(GbdtConfig {
+                min_child_weight: bad,
+                ..base.clone()
+            });
+            configs.push(GbdtConfig {
+                subsample: bad,
+                ..base.clone()
+            });
+            configs.push(GbdtConfig {
+                colsample: bad,
+                ..base.clone()
+            });
+        }
+        for config in configs {
+            let fits = std::panic::catch_unwind(|| GbdtClassifier::fit(&rows, &labels, 3, &config))
+                .is_ok();
+            let decodes = GbdtConfig::from_bytes(&config.to_bytes()).is_ok();
+            assert_eq!(fits, decodes, "{config:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "learning rate must be positive")]
+    fn rejects_infinite_learning_rate() {
+        let (rows, labels) = blobs(4);
+        let config = GbdtConfig {
+            learning_rate: f64::INFINITY,
+            ..GbdtConfig::small()
+        };
+        GbdtClassifier::fit(&rows, &labels, 3, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "regularizers must be >= 0")]
+    fn rejects_infinite_lambda() {
+        let (rows, labels) = blobs(4);
+        let config = GbdtConfig {
+            lambda: f64::INFINITY,
+            ..GbdtConfig::small()
+        };
+        GbdtClassifier::fit(&rows, &labels, 3, &config);
     }
 
     #[test]

@@ -3,17 +3,26 @@
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
+mod reference;
+
 /// How candidate split thresholds are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SplitMode {
-    /// Sort each feature and consider every boundary between distinct
-    /// values — optimal, `O(n log n)` per feature per node. The right choice
-    /// for CQC-sized data.
+    /// Consider every boundary between distinct values of each feature —
+    /// optimal. Built on presorted column blocks (XGBoost's exact greedy
+    /// layout): one `O(n log n)` rank sort per feature per fit, one
+    /// `O(m + K)` counting sort per feature per round (`m` sampled rows, `K`
+    /// distinct values), then `O(m)` per feature per tree level — a linear
+    /// scan and a stable partition, with no sorting at any node. The right
+    /// choice for CQC-sized data.
     #[default]
     Exact,
     /// Bucket each feature into equal-width bins over the node's value range
     /// and consider only bin edges — `O(n)` per feature per node, the
     /// standard approximation for larger datasets (LightGBM/XGBoost `hist`).
+    /// Bins fill in node-row order over the same node segments as exact
+    /// mode, without the column blocks.
     Histogram {
         /// Number of buckets per feature (at least 2).
         bins: usize,
@@ -55,150 +64,324 @@ enum Node {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
+    /// How many features `predict` reads: one past the largest feature
+    /// index a split tests (0 for a lone leaf). Derived from `nodes` when
+    /// the tree is built or decoded, so a decoded model checks its arity
+    /// without walking every node a second time.
+    features_used: usize,
 }
 
-impl RegressionTree {
-    /// Fits a tree on the given rows.
-    ///
-    /// `rows` indexes into `features`/`grad`/`hess`; `columns` restricts the
-    /// candidate split features (column subsampling).
-    pub(crate) fn fit(
-        features: &[Vec<f64>],
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        columns: &[usize],
-        params: &TreeParams,
-    ) -> Self {
-        assert!(!rows.is_empty(), "tree needs at least one row");
-        let mut tree = Self { nodes: Vec::new() };
-        tree.build(features, grad, hess, rows, columns, params, 0);
-        tree
+/// Running best split of one node and the node totals its gains need.
+struct SplitSearch<'p> {
+    params: &'p TreeParams,
+    g_sum: f64,
+    h_sum: f64,
+    parent_score: f64,
+    /// `(feature, threshold, gain)` of the first maximum-gain candidate.
+    best: Option<(usize, f64, f64)>,
+}
+
+impl SplitSearch<'_> {
+    /// Scores the candidate whose left child carries `(gl, hl)`; keeps it if
+    /// it beats every earlier candidate strictly.
+    fn consider(&mut self, f: usize, threshold: f64, gl: f64, hl: f64) {
+        let params = self.params;
+        let gr = self.g_sum - gl;
+        let hr = self.h_sum - hl;
+        if hl < params.min_child_weight || hr < params.min_child_weight {
+            return;
+        }
+        let gain = 0.5
+            * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - self.parent_score)
+            - params.gamma;
+        if gain > 0.0 && self.best.is_none_or(|(_, _, bg)| gain > bg) {
+            self.best = Some((f, threshold, gain));
+        }
+    }
+}
+
+/// One sampled row in a presorted column block: its value rank on the
+/// block's feature and its row id. The row's gradient pair is read through
+/// the id; the per-row arrays stay in cache, and an 8-byte entry keeps the
+/// partitions, which move every entry at every level, cheap.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    rank: u32,
+    row: u32,
+}
+
+/// Builds the trees of one boosting fit over a presorted column-block
+/// layout (XGBoost's exact greedy layout, Chen & Guestrin, KDD'16 §4.1).
+///
+/// * **Per fit** ([`TreeBuilder::new`]): a column-major copy of the rows and,
+///   in exact mode, a dense rank per value (`==` values, `-0.0` and `0.0`
+///   included, share a rank).
+/// * **Per round** ([`TreeBuilder::begin_round`]): the shuffled subsample,
+///   counting-sorted by rank for every feature — stable, so ties keep their
+///   subsample order. The round's class trees share these lists.
+/// * **Per tree** ([`TreeBuilder::fit`]): a copy of the sorted list of each
+///   candidate column (its column block) and the node-order list of the
+///   subsample. A node owns the segment `[s, e)` of each; a split stably
+///   partitions the segments, so each child's blocks stay sorted and its
+///   node order stays the subsample order.
+///
+/// Segments ping-pong between two buffers: a node at depth `d` reads buffer
+/// `d % 2` and writes its children's segments into the other. Every buffer
+/// is sized once per fit and reused by every round and tree.
+#[derive(Debug)]
+pub(crate) struct TreeBuilder {
+    n: usize,
+    params: TreeParams,
+    /// Column-major feature values: `values[f * n + row]`.
+    values: Vec<f64>,
+    /// Exact mode: dense value ranks, `ranks[f * n + row]`.
+    ranks: Vec<u32>,
+    /// Exact mode: the number of distinct values of each feature.
+    distinct: Vec<usize>,
+    /// The round's subsample, in its shuffled order.
+    sample: Vec<u32>,
+    /// Exact mode: per feature, the subsample sorted by (rank, subsample
+    /// position): `sorted[f * m + i]` for `m = sample.len()`.
+    sorted: Vec<Entry>,
+    /// The tree's node-order lists (rows in subsample order).
+    order: [Vec<u32>; 2],
+    /// Exact mode: the tree's column blocks, candidate `j` at
+    /// `[j * m, (j + 1) * m)`, where a node owns `[j * m + s, j * m + e)`.
+    blocks: [Vec<Entry>; 2],
+    /// Whether each row of the node being split goes left, by row.
+    goes_left: Vec<bool>,
+    /// The weight of the leaf each subsample row ended in, by row.
+    leaf_weights: Vec<f64>,
+    counts: Vec<usize>,
+    g_bins: Vec<f64>,
+    h_bins: Vec<f64>,
+}
+
+impl TreeBuilder {
+    /// Lays out `rows` (non-empty, rectangular, finite) for building trees
+    /// with `params`.
+    pub(crate) fn new(rows: &[Vec<f64>], params: TreeParams) -> Self {
+        let n = rows.len();
+        assert!(u32::try_from(n).is_ok(), "row ids must fit in u32");
+        let features = rows.first().map_or(0, Vec::len);
+        let mut values = Vec::with_capacity(features * n);
+        for f in 0..features {
+            values.extend(rows.iter().map(|row| row[f]));
+        }
+        let mut builder = Self {
+            n,
+            params,
+            values,
+            ranks: Vec::new(),
+            distinct: Vec::new(),
+            sample: Vec::with_capacity(n),
+            sorted: Vec::new(),
+            order: [vec![0; n], vec![0; n]],
+            blocks: [Vec::new(), Vec::new()],
+            goes_left: vec![false; n],
+            leaf_weights: vec![0.0; n],
+            counts: Vec::new(),
+            g_bins: Vec::new(),
+            h_bins: Vec::new(),
+        };
+        if params.split_mode == SplitMode::Exact {
+            builder.rank_values(features);
+        }
+        builder
     }
 
-    /// Recursively builds the subtree over `rows`, returning its node index.
+    /// One `total_cmp` sort per feature, then dense ranks over `==` runs,
+    /// so `-0.0` and `0.0` tie exactly as they do under `partial_cmp`.
+    fn rank_values(&mut self, features: usize) {
+        let n = self.n;
+        self.ranks = vec![0; features * n];
+        self.sorted = Vec::with_capacity(features * n);
+        let mut by_value: Vec<u32> = (0..n as u32).collect();
+        for f in 0..features {
+            let column = &self.values[f * n..(f + 1) * n];
+            by_value.sort_unstable_by(|&a, &b| column[a as usize].total_cmp(&column[b as usize]));
+            let ranks = &mut self.ranks[f * n..(f + 1) * n];
+            let mut rank = 0u32;
+            let mut previous = column[by_value[0] as usize];
+            for &row in &by_value {
+                let v = column[row as usize];
+                if v != previous {
+                    rank += 1;
+                    previous = v;
+                }
+                ranks[row as usize] = rank;
+            }
+            self.distinct.push(rank as usize + 1);
+        }
+    }
+
+    /// Starts a boosting round on `sample`, the round's rows in subsample
+    /// order.
+    pub(crate) fn begin_round(&mut self, sample: &[u32]) {
+        self.sample.clear();
+        self.sample.extend_from_slice(sample);
+        if self.params.split_mode != SplitMode::Exact {
+            return;
+        }
+        let (n, m) = (self.n, sample.len());
+        self.sorted.clear();
+        for (f, &distinct) in self.distinct.iter().enumerate() {
+            let ranks = &self.ranks[f * n..(f + 1) * n];
+            self.counts.clear();
+            self.counts.resize(distinct + 1, 0);
+            for &row in sample {
+                self.counts[ranks[row as usize] as usize + 1] += 1;
+            }
+            for k in 1..=distinct {
+                self.counts[k] += self.counts[k - 1];
+            }
+            let start = self.sorted.len();
+            self.sorted.resize(start + m, Entry::default());
+            let out = &mut self.sorted[start..];
+            for &row in sample {
+                let rank = ranks[row as usize];
+                let slot = &mut self.counts[rank as usize];
+                out[*slot] = Entry { rank, row };
+                *slot += 1;
+            }
+        }
+    }
+
+    /// Fits one tree on the round's subsample to `(grad, hess)` (indexed by
+    /// row), splitting only on `columns` (column subsampling).
+    ///
+    /// Afterwards [`TreeBuilder::leaf_weights`] holds, for every subsample
+    /// row, the weight `predict` returns for it.
+    pub(crate) fn fit(&mut self, grad: &[f64], hess: &[f64], columns: &[usize]) -> RegressionTree {
+        let m = self.sample.len();
+        assert!(m > 0, "tree needs at least one row");
+        self.order[0][..m].copy_from_slice(&self.sample);
+        if self.params.split_mode == SplitMode::Exact {
+            let [blocks, next] = &mut self.blocks;
+            blocks.clear();
+            for &f in columns {
+                blocks.extend_from_slice(&self.sorted[f * m..(f + 1) * m]);
+            }
+            next.resize(blocks.len(), Entry::default());
+        }
+        let mut nodes = Vec::new();
+        self.build(&mut nodes, grad, hess, columns, 0, m, 0);
+        RegressionTree::from_nodes(nodes)
+    }
+
+    /// The leaf weight of each subsample row in the last fitted tree, by
+    /// row (entries of rows outside the subsample are stale).
+    pub(crate) fn leaf_weights(&self) -> &[f64] {
+        &self.leaf_weights
+    }
+
+    /// Builds the subtree over the segment `[s, e)` at `depth` depth first,
+    /// numbering nodes in pre-order; returns its node index.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
-        features: &[Vec<f64>],
+        nodes: &mut Vec<Node>,
         grad: &[f64],
         hess: &[f64],
-        rows: &[usize],
         columns: &[usize],
-        params: &TreeParams,
+        s: usize,
+        e: usize,
         depth: usize,
     ) -> usize {
-        let g_sum: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
+        let params = self.params;
+        let side = depth % 2;
+        // Node totals in node-row order, as the recursive builder summed.
+        let node_rows = &self.order[side][s..e];
+        let g_sum: f64 = node_rows.iter().map(|&r| grad[r as usize]).sum();
+        let h_sum: f64 = node_rows.iter().map(|&r| hess[r as usize]).sum();
 
-        let make_leaf = |tree: &mut Self| {
+        let make_leaf = |builder: &mut Self, nodes: &mut Vec<Node>| {
             let weight = -g_sum / (h_sum + params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
+            for &r in &builder.order[side][s..e] {
+                builder.leaf_weights[r as usize] = weight;
+            }
+            nodes.push(Node::Leaf { weight });
+            nodes.len() - 1
         };
 
-        if depth >= params.max_depth || rows.len() < 2 {
-            return make_leaf(self);
+        if depth >= params.max_depth || e - s < 2 {
+            return make_leaf(self, nodes);
         }
 
-        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-
-        let consider =
-            |f: usize, threshold: f64, gl: f64, hl: f64, best: &mut Option<(usize, f64, f64)>| {
-                let gr = g_sum - gl;
-                let hr = h_sum - hl;
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    return;
-                }
-                let gain = 0.5
-                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
-                        - parent_score)
-                    - params.gamma;
-                if gain > 0.0 && best.is_none_or(|(_, _, bg)| gain > bg) {
-                    *best = Some((f, threshold, gain));
-                }
-            };
-
-        for &f in columns {
+        let mut search = SplitSearch {
+            params: &params,
+            g_sum,
+            h_sum,
+            parent_score: g_sum * g_sum / (h_sum + params.lambda),
+            best: None,
+        };
+        for (j, &f) in columns.iter().enumerate() {
             match params.split_mode {
-                SplitMode::Exact => {
-                    let mut order: Vec<usize> = rows.to_vec();
-                    order.sort_by(|&a, &b| {
-                        features[a][f]
-                            .partial_cmp(&features[b][f])
-                            .expect("finite features")
-                    });
-                    let mut gl = 0.0;
-                    let mut hl = 0.0;
-                    for w in order.windows(2) {
-                        gl += grad[w[0]];
-                        hl += hess[w[0]];
-                        let (va, vb) = (features[w[0]][f], features[w[1]][f]);
-                        if va == vb {
-                            continue; // cannot split between equal values
-                        }
-                        consider(f, 0.5 * (va + vb), gl, hl, &mut best);
-                    }
-                }
+                SplitMode::Exact => self.scan_exact(&mut search, grad, hess, side, j, f, s, e),
                 SplitMode::Histogram { bins } => {
-                    let bins = bins.max(2);
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for &r in rows {
-                        lo = lo.min(features[r][f]);
-                        hi = hi.max(features[r][f]);
-                    }
-                    if (hi - lo).abs() < f64::EPSILON {
-                        continue; // constant feature at this node
-                    }
-                    let width = (hi - lo) / bins as f64;
-                    let mut g_bins = vec![0.0f64; bins];
-                    let mut h_bins = vec![0.0f64; bins];
-                    for &r in rows {
-                        let b = (((features[r][f] - lo) / width) as usize).min(bins - 1);
-                        g_bins[b] += grad[r];
-                        h_bins[b] += hess[r];
-                    }
-                    let mut gl = 0.0;
-                    let mut hl = 0.0;
-                    for b in 0..bins - 1 {
-                        gl += g_bins[b];
-                        hl += h_bins[b];
-                        let threshold = lo + width * (b + 1) as f64;
-                        consider(f, threshold, gl, hl, &mut best);
-                    }
+                    self.scan_histogram(&mut search, grad, hess, bins, side, f, s, e);
                 }
             }
         }
 
-        let Some((feature, threshold, gain)) = best else {
-            return make_leaf(self);
+        let Some((feature, threshold, gain)) = search.best else {
+            return make_leaf(self, nodes);
         };
 
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
-            .iter()
-            .partition(|&&r| features[r][feature] < threshold);
-        if left_rows.is_empty() || right_rows.is_empty() {
+        // The same `<` test as `predict`, so every subsample row lands in the
+        // leaf `predict` would route it to.
+        let column = &self.values[feature * self.n..(feature + 1) * self.n];
+        let mut left_rows = 0;
+        for &r in &self.order[side][s..e] {
+            let left = column[r as usize] < threshold;
+            self.goes_left[r as usize] = left;
+            left_rows += usize::from(left);
+        }
+        if left_rows == 0 || left_rows == e - s {
             // Possible under histogram splitting when a bin edge separates
-            // no samples (e.g. empty leading bins): fall back to a leaf.
-            return make_leaf(self);
+            // no samples (e.g. empty leading bins), and when an exact
+            // midpoint rounds onto the lower value: fall back to a leaf.
+            return make_leaf(self, nodes);
+        }
+        let goes_left = &self.goes_left;
+        let [order_a, order_b] = &mut self.order;
+        let (from, to) = if side == 0 {
+            (order_a, order_b)
+        } else {
+            (order_b, order_a)
+        };
+        stable_split(&from[s..e], &mut to[s..e], left_rows, |&r| {
+            goes_left[r as usize]
+        });
+        // Children at the depth limit become leaves without scanning, so
+        // only their node order is needed.
+        if params.split_mode == SplitMode::Exact && depth + 1 < params.max_depth {
+            let m = self.sample.len();
+            let [blocks_a, blocks_b] = &mut self.blocks;
+            let (from, to) = if side == 0 {
+                (blocks_a, blocks_b)
+            } else {
+                (blocks_b, blocks_a)
+            };
+            for j in 0..columns.len() {
+                let segment = j * m + s..j * m + e;
+                stable_split(
+                    &from[segment.clone()],
+                    &mut to[segment],
+                    left_rows,
+                    |entry| goes_left[entry.row as usize],
+                );
+            }
         }
 
         // Reserve this node's slot before recursing so child indices are
         // stable.
-        let index = self.nodes.len();
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        let left = self.build(features, grad, hess, &left_rows, columns, params, depth + 1);
-        let right = self.build(
-            features,
-            grad,
-            hess,
-            &right_rows,
-            columns,
-            params,
-            depth + 1,
-        );
-        self.nodes[index] = Node::Split {
+        let index = nodes.len();
+        nodes.push(Node::Leaf { weight: 0.0 });
+        let mid = s + left_rows;
+        let left = self.build(nodes, grad, hess, columns, s, mid, depth + 1);
+        let right = self.build(nodes, grad, hess, columns, mid, e, depth + 1);
+        nodes[index] = Node::Split {
             feature,
             threshold,
             gain,
@@ -208,6 +391,105 @@ impl RegressionTree {
         index
     }
 
+    /// Exact candidates of column block `j` (feature `f`) over `[s, e)`: a
+    /// boundary between every two adjacent distinct values, left sums
+    /// accumulated one row at a time in sorted order.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_exact(
+        &self,
+        search: &mut SplitSearch<'_>,
+        grad: &[f64],
+        hess: &[f64],
+        side: usize,
+        j: usize,
+        f: usize,
+        s: usize,
+        e: usize,
+    ) {
+        let m = self.sample.len();
+        let block = &self.blocks[side][j * m + s..j * m + e];
+        let last_rank = block[block.len() - 1].rank;
+        if block[0].rank == last_rank {
+            return; // constant feature at this node
+        }
+        let column = &self.values[f * self.n..(f + 1) * self.n];
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        for w in block.windows(2) {
+            gl += grad[w[0].row as usize];
+            hl += hess[w[0].row as usize];
+            if w[0].rank == w[1].rank {
+                continue; // cannot split between equal values
+            }
+            let (va, vb) = (column[w[0].row as usize], column[w[1].row as usize]);
+            search.consider(f, 0.5 * (va + vb), gl, hl);
+            if w[1].rank == last_rank {
+                break; // no boundary left, so no later sum is ever read
+            }
+        }
+    }
+
+    /// Histogram candidates of feature `f` over `[s, e)`: equal-width bins
+    /// over the node's value range, filled in node-row order.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_histogram(
+        &mut self,
+        search: &mut SplitSearch<'_>,
+        grad: &[f64],
+        hess: &[f64],
+        bins: usize,
+        side: usize,
+        f: usize,
+        s: usize,
+        e: usize,
+    ) {
+        let bins = bins.max(2);
+        let column = &self.values[f * self.n..(f + 1) * self.n];
+        let node_rows = &self.order[side][s..e];
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &r in node_rows {
+            lo = lo.min(column[r as usize]);
+            hi = hi.max(column[r as usize]);
+        }
+        if (hi - lo).abs() < f64::EPSILON {
+            return; // constant feature at this node
+        }
+        let width = (hi - lo) / bins as f64;
+        self.g_bins.clear();
+        self.g_bins.resize(bins, 0.0);
+        self.h_bins.clear();
+        self.h_bins.resize(bins, 0.0);
+        for &r in node_rows {
+            let r = r as usize;
+            let b = (((column[r] - lo) / width) as usize).min(bins - 1);
+            self.g_bins[b] += grad[r];
+            self.h_bins[b] += hess[r];
+        }
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        for b in 0..bins - 1 {
+            gl += self.g_bins[b];
+            hl += self.h_bins[b];
+            let threshold = lo + width * (b + 1) as f64;
+            search.consider(f, threshold, gl, hl);
+        }
+    }
+}
+
+/// Stably splits `from` into `to`: the `left` items that go left first,
+/// then the rest, each side in its original order. One store per item, at
+/// a slot chosen without branching on the predicate.
+fn stable_split<T: Copy>(from: &[T], to: &mut [T], left: usize, goes_left: impl Fn(&T) -> bool) {
+    let (mut l, mut r) = (0, left);
+    for &item in from {
+        let is_left = goes_left(&item);
+        to[if is_left { l } else { r }] = item;
+        l += usize::from(is_left);
+        r += usize::from(!is_left);
+    }
+}
+
+impl RegressionTree {
     /// The tree's raw prediction for one feature row.
     ///
     /// # Panics
@@ -246,6 +528,27 @@ impl RegressionTree {
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
             .count()
+    }
+
+    fn from_nodes(nodes: Vec<Node>) -> Self {
+        let features_used = nodes
+            .iter()
+            .map(|node| match node {
+                Node::Leaf { .. } => 0,
+                Node::Split { feature, .. } => feature.saturating_add(1),
+            })
+            .max()
+            .unwrap_or(0);
+        Self {
+            nodes,
+            features_used,
+        }
+    }
+
+    /// How many features a row needs for [`RegressionTree::predict`]: one
+    /// past the largest feature index a split tests (0 for a lone leaf).
+    pub(crate) fn features_used(&self) -> usize {
+        self.features_used
     }
 
     /// Accumulates each split's gain into `importance[feature]`.
@@ -342,17 +645,38 @@ impl Decode for RegressionTree {
         }
         // `build` reserves a parent's slot before recursing, so children
         // always carry strictly larger indices; enforcing that here makes
-        // `predict` provably terminating on decoded trees.
+        // `predict` provably terminating on decoded trees. Fitted trees only
+        // hold finite numbers, and a non-finite leaf weight would poison
+        // every score that reaches it. `features_used` is taken in the same
+        // pass, as `from_nodes` computes it.
+        let mut features_used = 0;
         for (idx, node) in nodes.iter().enumerate() {
-            if let Node::Split { left, right, .. } = node {
-                let valid =
-                    *left > idx && *right > idx && *left < nodes.len() && *right < nodes.len();
-                if !valid {
-                    return Err(DecodeError::Invalid);
+            let valid = match node {
+                Node::Leaf { weight } => weight.is_finite(),
+                Node::Split {
+                    feature,
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                } => {
+                    features_used = features_used.max(feature.saturating_add(1));
+                    threshold.is_finite()
+                        && gain.is_finite()
+                        && *left > idx
+                        && *right > idx
+                        && *left < nodes.len()
+                        && *right < nodes.len()
                 }
+            };
+            if !valid {
+                return Err(DecodeError::Invalid);
             }
         }
-        Ok(Self { nodes })
+        Ok(Self {
+            nodes,
+            features_used,
+        })
     }
 }
 
@@ -368,6 +692,31 @@ mod tests {
         split_mode: SplitMode::Exact,
     };
 
+    /// Fits one tree on every row with the column-block builder, checking
+    /// it bit for bit against the reference builder.
+    fn fit_all_rows(
+        features: &[Vec<f64>],
+        grad: &[f64],
+        hess: &[f64],
+        columns: &[usize],
+        params: &TreeParams,
+    ) -> RegressionTree {
+        let mut builder = TreeBuilder::new(features, *params);
+        let sample: Vec<u32> = (0..features.len() as u32).collect();
+        builder.begin_round(&sample);
+        let tree = builder.fit(grad, hess, columns);
+        let rows: Vec<usize> = (0..features.len()).collect();
+        let reference = RegressionTree::fit_reference(features, grad, hess, &rows, columns, params);
+        assert_eq!(tree.to_bytes(), reference.to_bytes());
+        for (r, row) in features.iter().enumerate() {
+            assert_eq!(
+                builder.leaf_weights()[r].to_bits(),
+                tree.predict(row).to_bits()
+            );
+        }
+        tree
+    }
+
     /// Squared-error fitting reduces to grad = pred - target with hess = 1
     /// when starting from a zero prediction: grad = -target.
     fn fit_regression(
@@ -377,9 +726,8 @@ mod tests {
     ) -> RegressionTree {
         let grad: Vec<f64> = targets.iter().map(|t| -t).collect();
         let hess = vec![1.0; targets.len()];
-        let rows: Vec<usize> = (0..targets.len()).collect();
         let cols: Vec<usize> = (0..features[0].len()).collect();
-        RegressionTree::fit(features, &grad, &hess, &rows, &cols, params)
+        fit_all_rows(features, &grad, &hess, &cols, params)
     }
 
     #[test]
@@ -482,7 +830,7 @@ mod tests {
         ];
         let grad = vec![1.0, 1.0, -1.0, -1.0];
         let hess = vec![1.0; 4];
-        let tree = RegressionTree::fit(&features, &grad, &hess, &[0, 1, 2, 3], &[1], &PARAMS);
+        let tree = fit_all_rows(&features, &grad, &hess, &[1], &PARAMS);
         let mut importance = vec![0.0; 2];
         tree.accumulate_importance(&mut importance);
         assert_eq!(importance[0], 0.0, "feature 0 was excluded");
