@@ -656,7 +656,7 @@ fn compare_pair(enc: &CodecFn, dec: &CodecFn, push: &mut Push<'_>) {
 // D8 schema fingerprints + lockfile.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a-64 — the same hash the snapshot frames use for their checksums.
+/// FNV-1a-64 — the lockfile fingerprint of a pair's canonical text.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -588,6 +588,9 @@ impl Decode for SplitMode {
     }
 }
 
+/// The reference node layout, field by field. `RegressionTree`'s codec
+/// writes and reads the same bytes one record per node; a proptest holds
+/// it to this codec.
 impl Encode for Node {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -631,28 +634,38 @@ impl Decode for Node {
     }
 }
 
-impl Encode for RegressionTree {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.nodes.encode(out);
-    }
+/// Wire size of a leaf node: tag 0, then the weight.
+const LEAF_BYTES: usize = 1 + 8;
+/// Wire size of a split node: tag 1, then feature, threshold, gain, left
+/// and right, eight bytes each.
+const SPLIT_BYTES: usize = 1 + 5 * 8;
+
+/// The `i`-th little-endian 8-byte field after a node record's tag.
+#[inline]
+fn record_field<const N: usize>(record: &[u8; N], i: usize) -> u64 {
+    let mut field = [0u8; 8];
+    field.copy_from_slice(&record[1 + 8 * i..9 + 8 * i]);
+    u64::from_le_bytes(field)
 }
 
-impl Decode for RegressionTree {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let nodes = Vec::<Node>::decode(r)?;
-        if nodes.is_empty() {
-            return Err(DecodeError::Invalid);
-        }
-        // `build` reserves a parent's slot before recursing, so children
-        // always carry strictly larger indices; enforcing that here makes
-        // `predict` provably terminating on decoded trees. Fitted trees only
-        // hold finite numbers, and a non-finite leaf weight would poison
-        // every score that reaches it. `features_used` is taken in the same
-        // pass, as `from_nodes` computes it.
-        let mut features_used = 0;
-        for (idx, node) in nodes.iter().enumerate() {
-            let valid = match node {
-                Node::Leaf { weight } => weight.is_finite(),
+/// Writes one 8-byte field after a node record's tag.
+#[inline]
+fn set_record_field<const N: usize>(record: &mut [u8; N], i: usize, value: u64) {
+    record[1 + 8 * i..9 + 8 * i].copy_from_slice(&value.to_le_bytes());
+}
+
+impl Encode for RegressionTree {
+    /// The bytes of `self.nodes.encode(out)`, i.e. `Node`'s codec per node,
+    /// with each node written as one record.
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.nodes.len().encode(out);
+        for node in &self.nodes {
+            match *node {
+                Node::Leaf { weight } => {
+                    let mut record = [0u8; LEAF_BYTES];
+                    set_record_field(&mut record, 0, weight.to_bits());
+                    out.extend_from_slice(&record);
+                }
                 Node::Split {
                     feature,
                     threshold,
@@ -660,18 +673,81 @@ impl Decode for RegressionTree {
                     left,
                     right,
                 } => {
-                    features_used = features_used.max(feature.saturating_add(1));
-                    threshold.is_finite()
-                        && gain.is_finite()
-                        && *left > idx
-                        && *right > idx
-                        && *left < nodes.len()
-                        && *right < nodes.len()
+                    let index = |i: usize| u64::try_from(i).expect("invariant: usize fits in u64");
+                    let mut record = [0u8; SPLIT_BYTES];
+                    record[0] = 1;
+                    set_record_field(&mut record, 0, index(feature));
+                    set_record_field(&mut record, 1, threshold.to_bits());
+                    set_record_field(&mut record, 2, gain.to_bits());
+                    set_record_field(&mut record, 3, index(left));
+                    set_record_field(&mut record, 4, index(right));
+                    out.extend_from_slice(&record);
                 }
-            };
-            if !valid {
-                return Err(DecodeError::Invalid);
             }
+        }
+    }
+}
+
+impl Decode for RegressionTree {
+    /// Returns exactly what `Vec::<Node>::decode` followed by the checks
+    /// below would (pinned by a proptest), reading each node with a single
+    /// bounds check. (On a 32-bit target, a truncated split whose index
+    /// overflows `usize` reports `Truncated` where the field-by-field
+    /// decode reports `Invalid`.)
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let len = usize::decode(r)?;
+        // `build` reserves a parent's slot before recursing, so children
+        // always carry strictly larger indices; enforcing that here makes
+        // `predict` provably terminating on decoded trees. Fitted trees only
+        // hold finite numbers, and a non-finite leaf weight would poison
+        // every score that reaches it. The checks run as the nodes are read,
+        // but their verdict waits until every node has decoded, so a
+        // truncated tree reports `Truncated` whatever its early nodes hold.
+        // `features_used` is taken in the same pass, as `from_nodes`
+        // computes it.
+        let mut valid = len > 0;
+        let mut features_used = 0;
+        let mut nodes = Vec::with_capacity(len.min(r.remaining() / LEAF_BYTES));
+        for idx in 0..len {
+            let node = match r.peek() {
+                Some(0) => {
+                    let record = r.take_array::<LEAF_BYTES>()?;
+                    let weight = f64::from_bits(record_field(record, 0));
+                    valid &= weight.is_finite();
+                    Node::Leaf { weight }
+                }
+                Some(1) => {
+                    let record = r.take_array::<SPLIT_BYTES>()?;
+                    let index = |i| {
+                        usize::try_from(record_field(record, i)).map_err(|_| DecodeError::Invalid)
+                    };
+                    let feature = index(0)?;
+                    let threshold = f64::from_bits(record_field(record, 1));
+                    let gain = f64::from_bits(record_field(record, 2));
+                    let left = index(3)?;
+                    let right = index(4)?;
+                    features_used = features_used.max(feature.saturating_add(1));
+                    valid &= threshold.is_finite()
+                        && gain.is_finite()
+                        && left > idx
+                        && right > idx
+                        && left < len
+                        && right < len;
+                    Node::Split {
+                        feature,
+                        threshold,
+                        gain,
+                        left,
+                        right,
+                    }
+                }
+                Some(_) => return Err(DecodeError::Invalid),
+                None => return Err(DecodeError::Truncated),
+            };
+            nodes.push(node);
+        }
+        if !valid {
+            return Err(DecodeError::Invalid);
         }
         Ok(Self {
             nodes,
@@ -683,6 +759,8 @@ impl Decode for RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const PARAMS: TreeParams = TreeParams {
         max_depth: 4,
@@ -892,5 +970,137 @@ mod tests {
         let mut importance = vec![0.0; 2];
         tree.accumulate_importance(&mut importance);
         assert!(importance[0] > importance[1]);
+    }
+
+    /// Today's field-by-field decode: the generic `Vec<Node>` codec, then
+    /// the structural checks as a second pass.
+    fn reference_decode(r: &mut Reader<'_>) -> Result<RegressionTree, DecodeError> {
+        let nodes = Vec::<Node>::decode(r)?;
+        if nodes.is_empty() {
+            return Err(DecodeError::Invalid);
+        }
+        for (idx, node) in nodes.iter().enumerate() {
+            let valid = match *node {
+                Node::Leaf { weight } => weight.is_finite(),
+                Node::Split {
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                    ..
+                } => {
+                    threshold.is_finite()
+                        && gain.is_finite()
+                        && left > idx
+                        && right > idx
+                        && left < nodes.len()
+                        && right < nodes.len()
+                }
+            };
+            if !valid {
+                return Err(DecodeError::Invalid);
+            }
+        }
+        Ok(RegressionTree::from_nodes(nodes))
+    }
+
+    /// A float that is usually finite and sometimes NaN or infinite.
+    fn wire_float(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..12u32) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => rng.gen_range(-4.0..4.0),
+        }
+    }
+
+    /// A child index that is usually valid for node `idx` of `len`.
+    fn wire_child(rng: &mut StdRng, idx: usize, len: usize) -> usize {
+        match rng.gen_range(0..10u32) {
+            0 => rng.gen_range(0..idx + 1),
+            1 => len + rng.gen_range(0..3usize),
+            2 => usize::MAX,
+            _ if idx + 1 < len => rng.gen_range(idx + 1..len),
+            _ => len,
+        }
+    }
+
+    /// A node list that is often a valid tree, encoded by `Node`'s codec.
+    fn random_tree_bytes(rng: &mut StdRng) -> Vec<u8> {
+        let len = rng.gen_range(0..24usize);
+        let nodes: Vec<Node> = (0..len)
+            .map(|idx| {
+                if rng.gen_bool(0.5) {
+                    Node::Leaf {
+                        weight: wire_float(rng),
+                    }
+                } else {
+                    Node::Split {
+                        feature: if rng.gen_bool(0.05) {
+                            usize::MAX
+                        } else {
+                            rng.gen_range(0..12usize)
+                        },
+                        threshold: wire_float(rng),
+                        gain: wire_float(rng),
+                        left: wire_child(rng, idx, len),
+                        right: wire_child(rng, idx, len),
+                    }
+                }
+            })
+            .collect();
+        nodes.to_bytes()
+    }
+
+    /// Flips bits, rewrites bytes, truncates or extends the string.
+    fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
+        for _ in 0..rng.gen_range(0..4u32) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0..4u32) {
+                0 => bytes[at] = rng.gen_range(0..3u8),
+                1 => bytes.truncate(at),
+                2 => bytes.push(rng.gen_range(0..=255u8)),
+                _ => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+
+        /// On random and mutated node strings the one-record-per-node loop
+        /// returns exactly the reference's `Ok` tree or error and leaves the
+        /// reader at the same place; every tree it accepts re-encodes to the
+        /// generic `Vec<Node>` bytes.
+        #[test]
+        fn node_loop_decode_matches_the_generic_codec(seed in 0u64..u64::MAX, mutated in 0u32..3) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bytes = random_tree_bytes(&mut rng);
+            if mutated > 0 {
+                mutate(&mut rng, &mut bytes);
+            }
+            let mut fast = Reader::new(&bytes);
+            let mut reference = Reader::new(&bytes);
+            let decoded = RegressionTree::decode(&mut fast);
+            proptest::prop_assert_eq!(&decoded, &reference_decode(&mut reference));
+            if let Ok(tree) = decoded {
+                proptest::prop_assert_eq!(fast.remaining(), reference.remaining());
+                proptest::prop_assert_eq!(tree.to_bytes(), tree.nodes.to_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_trees_encode_as_their_node_list() {
+        let features: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let targets: Vec<f64> = (0..40).map(|i| ((i % 5) as f64) - 2.0).collect();
+        let tree = fit_regression(&features, &targets, &PARAMS);
+        assert!(tree.node_count() > 3);
+        let bytes = tree.to_bytes();
+        assert_eq!(bytes, tree.nodes.to_bytes());
+        assert_eq!(RegressionTree::from_bytes(&bytes), Ok(tree));
     }
 }

@@ -31,11 +31,11 @@
 //! fleet report.
 //!
 //! The whole fleet checkpoints into a [`FleetSnapshot`] (own magic,
-//! version, FNV-1a-64 checksum) embedding one framed
-//! [`RuntimeSnapshot`] per shard plus the pool and ledger state; resume is
-//! byte-identical at any global event boundary.
+//! version, payload checksum) embedding one framed [`RuntimeSnapshot`] per
+//! shard plus the pool and ledger state; resume is byte-identical at any
+//! global event boundary.
 
-use crate::snapshot::fnv1a64;
+use crate::snapshot::frame_checksum;
 use crate::{
     MetricsTap, MetricsTapConfig, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport,
     RuntimeSnapshot, SnapshotError,
@@ -44,7 +44,7 @@ use crowdlearn::{CrowdLearnConfig, PostedQuery};
 use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
 use crowdlearn_metrics::{QuantileSketch, SketchGridMismatch};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{encode_bytes, Decode, DecodeError, Encode, Reader};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -729,17 +729,16 @@ impl FleetOrchestrator {
         self.config.encode(&mut payload);
         self.ledger.encode(&mut payload);
         self.pool.encode(&mut payload);
-        let frames: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                s.snapshot()
-                    .map(|snap| snap.to_bytes())
-                    .map_err(|error| FleetSnapshotError::Shard { shard, error })
-            })
-            .collect::<Result<_, _>>()?;
-        frames.encode(&mut payload);
+        // The shard frames travel as a `Vec<Vec<u8>>` would, each copied in
+        // whole rather than a byte per call.
+        self.shards.len().encode(&mut payload);
+        for (shard, s) in self.shards.iter().enumerate() {
+            let frame = s
+                .snapshot()
+                .map_err(|error| FleetSnapshotError::Shard { shard, error })?
+                .to_bytes();
+            encode_bytes(&frame, &mut payload);
+        }
         Ok(FleetSnapshot::seal(payload))
     }
 
@@ -755,7 +754,11 @@ impl FleetOrchestrator {
         let config = FleetConfig::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
         let ledger = FleetLedger::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
         let pool = SharedWorkerPool::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
-        let frames = Vec::<Vec<u8>>::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
+        let frame_count = usize::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
+        let frames = (0..frame_count)
+            .map(|_| r.read_bytes())
+            .collect::<Result<Vec<&[u8]>, _>>()
+            .map_err(FleetSnapshotError::Corrupt)?;
         if !r.is_empty() {
             return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
         }
@@ -836,7 +839,13 @@ const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 /// Current fleet snapshot format version. Bump on any payload layout
 /// change (per-shard payloads are additionally versioned by
 /// [`crate::SNAPSHOT_FORMAT_VERSION`] inside their embedded frames).
-pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 1;
+///
+/// Version history: 1 — initial format, FNV-1a-64 frame checksum;
+/// 2 — the frame checksum is the runtime frame's word-at-a-time
+/// `frame_checksum` (and the embedded shard frames are runtime version 6).
+/// The fleet payload layout is unchanged; a v1 frame is refused with
+/// [`FleetSnapshotError::VersionMismatch`].
+pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Why a fleet snapshot could not be produced or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -915,8 +924,16 @@ impl std::error::Error for FleetSnapshotError {
 }
 
 /// A sealed fleet snapshot: framing mirrors [`RuntimeSnapshot`] (own magic,
-/// version, payload length, FNV-1a-64 checksum) so a later process can
-/// validate the bytes before trusting them.
+/// version, payload length, the same word-at-a-time payload checksum) so a
+/// later process can validate the bytes before trusting them:
+///
+/// ```text
+/// magic  b"CLFLEET\x00"             8 bytes
+/// format version                     u32 LE
+/// payload length                     u64 LE
+/// checksum of the payload            u64 LE   (frame_checksum, since v2)
+/// payload                            length bytes
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSnapshot {
     payload: Vec<u8>,
@@ -943,7 +960,7 @@ impl FleetSnapshot {
         out.extend_from_slice(&FLEET_MAGIC);
         out.extend_from_slice(&FLEET_SNAPSHOT_FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
+        out.extend_from_slice(&frame_checksum(&self.payload).to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
     }
@@ -987,7 +1004,7 @@ impl FleetSnapshot {
                 },
             ));
         }
-        if fnv1a64(payload) != checksum {
+        if frame_checksum(payload) != checksum {
             return Err(FleetSnapshotError::ChecksumMismatch);
         }
         Ok(Self {
@@ -1278,6 +1295,13 @@ mod tests {
             FleetSnapshot::from_bytes(&wrong_version),
             Err(FleetSnapshotError::VersionMismatch { .. })
         ));
+
+        let mut previous_version = bytes.clone();
+        previous_version[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            FleetSnapshot::from_bytes(&previous_version),
+            Err(FleetSnapshotError::VersionMismatch { found: 1 })
+        );
 
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;

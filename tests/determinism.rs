@@ -863,15 +863,23 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a-64, re-derived in the test so the sweep can forge valid
-/// checksums over corrupted payloads (mirrors the runtime's frame hash).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The runtime's frame checksum, re-derived in the test so the sweep can
+/// forge valid checksums over corrupted payloads: one
+/// `rotl(state ^ word·K₁, 29)·K₂` step per little-endian 8-byte word, the
+/// zero-padded tail as a last word, seeded with the payload length.
+fn frame_checksum(bytes: &[u8]) -> u64 {
+    let step = |state: u64, word: [u8; 8]| {
+        (state ^ u64::from_le_bytes(word).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .rotate_left(29)
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9)
+    };
+    let mut state = 0xcbf2_9ce4_8422_2325u64 ^ bytes.len() as u64;
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        state = step(state, word);
     }
-    hash
+    state
 }
 
 #[test]
@@ -923,7 +931,7 @@ fn snapshot_decode_survives_a_seeded_corruption_sweep() {
         let bit = (splitmix64(&mut rng) % 8) as u32;
         let mut evil = bytes.clone();
         evil[pos] ^= 1 << bit;
-        let sum = fnv1a64(&evil[HEADER..]);
+        let sum = frame_checksum(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = RuntimeSnapshot::from_bytes(&evil).expect("repaired frame validates");
         if PipelinedSystem::resume(&snapshot, &stream).is_err() {
@@ -981,7 +989,7 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
         let bit = (splitmix64(&mut rng) % 8) as u32;
         let mut evil = bytes.clone();
         evil[pos] ^= 1 << bit;
-        let sum = fnv1a64(&evil[HEADER..]);
+        let sum = frame_checksum(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = FleetSnapshot::from_bytes(&evil).expect("repaired frame validates");
         if FleetOrchestrator::resume(&snapshot, &streams).is_err() {
