@@ -142,7 +142,10 @@ pub trait CostedBandit: Send {
     /// # Panics
     ///
     /// Implementations panic if `context`/`action` are out of range or the
-    /// payoff is NaN.
+    /// payoff is not finite. (An infinite payoff would leave an infinite
+    /// mean, which [`crate::PolicyState`]'s decoder rejects, so the policy's
+    /// checkpoint would never resume; the next payoff would turn that mean
+    /// into NaN.)
     fn observe(&mut self, context: usize, action: usize, payoff: f64);
 
     /// Charges the cost of `action` to the budget without consulting the

@@ -127,7 +127,7 @@ impl CostedBandit for EpsilonGreedy {
     fn observe(&mut self, context: usize, action: usize, payoff: f64) {
         assert!(context < self.config.contexts(), "context out of range");
         assert!(action < self.config.actions(), "action out of range");
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
         let n = &mut self.counts[context][action];
         *n += 1;
         let mean = &mut self.means[context][action];
@@ -218,5 +218,12 @@ mod tests {
     #[should_panic(expected = "epsilon must be in [0, 1]")]
     fn rejects_bad_epsilon() {
         EpsilonGreedy::new(BanditConfig::new(1, vec![1.0], 1.0, 1), 1.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "payoff must not be NaN or infinite")]
+    fn observe_rejects_infinite_payoffs() {
+        let mut bandit = EpsilonGreedy::new(BanditConfig::new(1, vec![1.0], 5.0, 5), 0.1, 0);
+        bandit.observe(0, 0, f64::INFINITY);
     }
 }

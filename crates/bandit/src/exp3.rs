@@ -111,7 +111,7 @@ impl CostedBandit for Exp3 {
     fn observe(&mut self, context: usize, action: usize, payoff: f64) {
         assert!(context < self.config.contexts(), "context out of range");
         assert!(action < self.config.actions(), "action out of range");
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
         let k = self.config.actions() as f64;
         let p = self.last_probability[context][action].max(1e-6);
         let estimate = payoff.clamp(0.0, 1.0) / p;

@@ -85,7 +85,7 @@ impl CostedBandit for FixedPolicy {
     }
 
     fn observe(&mut self, _context: usize, _action: usize, payoff: f64) {
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
     }
 
     fn charge(&mut self, action: usize) -> bool {
@@ -162,7 +162,7 @@ impl CostedBandit for RandomPolicy {
     }
 
     fn observe(&mut self, _context: usize, _action: usize, payoff: f64) {
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
     }
 
     fn charge(&mut self, action: usize) -> bool {

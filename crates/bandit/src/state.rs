@@ -295,6 +295,36 @@ mod tests {
     }
 
     #[test]
+    fn every_policy_rejects_non_finite_payoffs_and_stays_resumable() {
+        let policies: [fn() -> Box<dyn CostedBandit>; 6] = [
+            || Box::new(UcbAlp::new(config(), 1)),
+            || Box::new(EpsilonGreedy::new(config(), 0.2, 1)),
+            || Box::new(FixedPolicy::new(config(), 1)),
+            || Box::new(RandomPolicy::new(config(), 1)),
+            || Box::new(crate::ThompsonSampling::new(config(), 1)),
+            || Box::new(crate::Exp3::new(config(), 0.1, 1)),
+        ];
+        for make in policies {
+            for payoff in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut bandit = make();
+                let name = bandit.name().to_string();
+                drive(bandit.as_mut(), 5);
+                let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    bandit.observe(0, 1, payoff);
+                }));
+                assert!(observed.is_err(), "{name} accepted payoff {payoff}");
+                if let Some(state) = bandit.save_state() {
+                    assert_eq!(
+                        PolicyState::from_bytes(&state.to_bytes()),
+                        Ok(state),
+                        "{name}: checkpoint no longer resumes"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn non_checkpointable_policies_save_none() {
         let thompson = crate::ThompsonSampling::new(config(), 1);
         assert!(thompson.save_state().is_none());

@@ -106,7 +106,7 @@ impl CostedBandit for ThompsonSampling {
     fn observe(&mut self, context: usize, action: usize, payoff: f64) {
         assert!(context < self.config.contexts(), "context out of range");
         assert!(action < self.config.actions(), "action out of range");
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
         let n = &mut self.counts[context][action];
         *n += 1;
         let mean = &mut self.means[context][action];

@@ -20,11 +20,24 @@
 //! The context distribution `pi` is estimated from the empirical context
 //! frequencies (initialized uniform), as the paper's four temporal contexts
 //! are equally likely by construction.
+//!
+//! The solve allocates nothing per bisection step. Each select builds the
+//! UCB table (untried pairs already capped at their forced-exploration
+//! score) and `pi` once; each of the 81 greedy evaluations (one at
+//! `lambda = 0`, then 80 bisection steps) reads them, picks each context's
+//! argmax without branching, and keeps of its plan only the expected cost
+//! and the action at the observed context, which is all the select uses. The bisection, its comparisons, the first-maximum
+//! tie rule and the one RNG draw are those of the plan-building solve it
+//! replaced, kept as a `#[cfg(test)]` oracle that a property test holds it
+//! to bit for bit; so the action sequence is identical.
 
 use crate::config::{BanditConfig, BudgetLedger, CostedBandit};
 use crate::state::{PolicyState, UcbAlpState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[cfg(test)]
+mod reference;
 
 /// The UCB-ALP policy. See the module docs for the algorithm.
 ///
@@ -118,114 +131,119 @@ impl UcbAlp {
         self.means[z][a] + self.exploration_scale * (t.ln() / n as f64).sqrt()
     }
 
-    /// Context distribution for the LP: the declared one when known,
-    /// otherwise the uniform-smoothed empirical estimate.
-    fn pi(&self) -> Vec<f64> {
-        if let Some(known) = self.config.context_distribution() {
-            return known.to_vec();
-        }
-        let z = self.config.contexts();
-        let total: u64 = self.context_counts.iter().sum();
-        self.context_counts
-            .iter()
-            .map(|&c| (c as f64 + 1.0) / (total as f64 + z as f64))
-            .collect()
-    }
-
-    /// Expected per-round cost of the greedy policy at Lagrange multiplier
-    /// `lambda`, plus the per-context argmax actions it induces.
-    fn greedy_at_lambda(&self, lambda: f64, ucbs: &[Vec<f64>]) -> (f64, Vec<usize>) {
-        let pi = self.pi();
-        let mut expected_cost = 0.0;
-        let mut choices = Vec::with_capacity(self.config.contexts());
-        for z in 0..self.config.contexts() {
-            let mut best = 0;
-            let mut best_score = f64::NEG_INFINITY;
-            for (a, &ucb) in ucbs[z].iter().enumerate() {
-                // Untried actions dominate regardless of lambda (forced
-                // exploration), but cap their score so cost-tiebreaks work.
-                let score = if ucb.is_infinite() {
-                    1e12 - lambda * self.config.cost(a)
-                } else {
-                    ucb - lambda * self.config.cost(a)
-                };
-                if score > best_score {
-                    best_score = score;
-                    best = a;
-                }
-            }
-            expected_cost += pi[z] * self.config.cost(best);
-            choices.push(best);
-        }
-        (expected_cost, choices)
-    }
-
-    /// Solves the adaptive LP: returns the per-context plan of the smallest
-    /// lambda whose greedy policy fits within `rho` expected cost, together
-    /// with the boundary plan just above it and the mixing probability that
-    /// makes the expected cost exactly `rho`.
+    /// Solves the adaptive LP for `context`: returns the action of the
+    /// smallest lambda whose greedy policy fits within `rho` expected cost,
+    /// together with the action of the boundary plan just above it and the
+    /// mixing probability that makes the expected cost exactly `rho`.
     ///
     /// The LP optimum at a single coupling constraint randomizes between the
     /// two adjacent deterministic plans; without the mixing, per-round slack
     /// accumulates and gets burned late in flat (low-marginal-payoff)
     /// contexts.
-    fn solve_alp(&self, rho: f64) -> (Vec<usize>, Option<(Vec<usize>, f64)>) {
+    ///
+    /// The UCB table and `pi` are built once; each of the 81 greedy
+    /// evaluations then only reads them, and of each plan only its cost and
+    /// its action at `context` are kept, so the bisection allocates nothing.
+    fn solve_alp(&self, rho: f64, context: usize) -> (usize, Option<(usize, f64)>) {
         let z = self.config.contexts();
         let k = self.config.actions();
-        let ucbs: Vec<Vec<f64>> = (0..z)
-            .map(|zz| (0..k).map(|aa| self.ucb(zz, aa)).collect())
+        let costs = self.config.action_costs();
+        let mut ucbs: Vec<f64> = (0..z)
+            .flat_map(|zz| (0..k).map(move |aa| (zz, aa)))
+            .map(|(zz, aa)| self.ucb(zz, aa))
             .collect();
+        // The bisection's upper bound reads the finite UCBs only.
+        let max_ucb = ucbs
+            .iter()
+            .filter(|u| u.is_finite())
+            .fold(1.0f64, |m, &u| m.max(u.abs()));
+        // Untried actions dominate regardless of lambda (forced
+        // exploration), but their score is capped so cost-tiebreaks work:
+        // an infinite UCB scores as `1e12`.
+        for ucb in &mut ucbs {
+            if ucb.is_infinite() {
+                *ucb = 1e12;
+            }
+        }
+        // Context distribution: the declared one when known, otherwise the
+        // uniform-smoothed empirical estimate.
+        let empirical: Vec<f64>;
+        let pi = match self.config.context_distribution() {
+            Some(known) => known,
+            None => {
+                let total: u64 = self.context_counts.iter().sum();
+                empirical = self
+                    .context_counts
+                    .iter()
+                    .map(|&c| (c as f64 + 1.0) / (total as f64 + z as f64))
+                    .collect();
+                &empirical
+            }
+        };
+
+        // Expected per-round cost of the greedy policy at Lagrange
+        // multiplier `lambda`, and the action it takes at `context`.
+        let greedy_at_lambda = |lambda: f64| {
+            let mut expected_cost = 0.0;
+            let mut chosen = 0;
+            for (zz, row) in ucbs.chunks_exact(k).enumerate() {
+                let mut best = 0;
+                let mut best_score = f64::NEG_INFINITY;
+                for (a, (&ucb, &cost)) in row.iter().zip(costs).enumerate() {
+                    // The first maximum wins, selected without a branch.
+                    let score = ucb - lambda * cost;
+                    let better = score > best_score;
+                    best_score = if better { score } else { best_score };
+                    best = if better { a } else { best };
+                }
+                expected_cost += pi[zz] * costs[best];
+                if zz == context {
+                    chosen = best;
+                }
+            }
+            (expected_cost, chosen)
+        };
 
         // If the unconstrained greedy fits, take it.
-        let (cost0, choices0) = self.greedy_at_lambda(0.0, &ucbs);
+        let (cost0, choice0) = greedy_at_lambda(0.0);
         if cost0 <= rho {
-            return (choices0, None);
+            return (choice0, None);
         }
 
         // Bisection on lambda. Upper bound: lambda so large the cheapest
         // action wins everywhere.
-        let max_ucb = ucbs
-            .iter()
-            .flatten()
-            .filter(|u| u.is_finite())
-            .fold(1.0f64, |m, &u| m.max(u.abs()));
-        let cost_span = self
-            .config
-            .action_costs()
-            .iter()
-            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
-                (lo.min(c), hi.max(c))
-            });
+        let cost_span = costs.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
+            (lo.min(c), hi.max(c))
+        });
         let mut lo = 0.0;
         let mut hi = (2.0 * max_ucb + 1e12) / (cost_span.1 - cost_span.0).max(1e-9);
         let mut feasible = None;
-        let mut infeasible = Some((cost0, choices0));
+        let mut infeasible = (cost0, choice0);
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            let (cost, choices) = self.greedy_at_lambda(mid, &ucbs);
+            let (cost, choice) = greedy_at_lambda(mid);
             if cost <= rho {
-                feasible = Some((cost, choices));
+                feasible = Some((cost, choice));
                 hi = mid;
             } else {
-                infeasible = Some((cost, choices));
+                infeasible = (cost, choice);
                 lo = mid;
             }
         }
         match feasible {
-            Some((c_f, plan_f)) => {
-                let mix = infeasible.and_then(|(c_i, plan_i)| {
-                    if c_i > c_f + 1e-12 {
-                        let p = ((rho - c_f) / (c_i - c_f)).clamp(0.0, 1.0);
-                        (p > 0.0).then_some((plan_i, p))
-                    } else {
-                        None
-                    }
-                });
-                (plan_f, mix)
+            Some((c_f, choice_f)) => {
+                let (c_i, choice_i) = infeasible;
+                let mix = if c_i > c_f + 1e-12 {
+                    let p = ((rho - c_f) / (c_i - c_f)).clamp(0.0, 1.0);
+                    (p > 0.0).then_some((choice_i, p))
+                } else {
+                    None
+                };
+                (choice_f, mix)
             }
             // Even at huge lambda the cheapest actions may not fit rho (rho
             // below minimum cost): fall back to cheapest everywhere.
-            None => (vec![self.config.cheapest_action(); z], None),
+            None => (self.config.cheapest_action(), None),
         }
     }
 }
@@ -246,11 +264,10 @@ impl CostedBandit for UcbAlp {
             .saturating_sub(self.rounds_elapsed - 1)
             .max(1);
         let rho = self.ledger.remaining() / remaining_rounds as f64;
-        let (plan, boundary) = self.solve_alp(rho);
-        let mut action = plan[context];
-        if let Some((upper_plan, p)) = boundary {
+        let (mut action, boundary) = self.solve_alp(rho, context);
+        if let Some((upper, p)) = boundary {
             if self.rng.gen::<f64>() < p {
-                action = upper_plan[context];
+                action = upper;
             }
         }
 
@@ -281,7 +298,7 @@ impl CostedBandit for UcbAlp {
     fn observe(&mut self, context: usize, action: usize, payoff: f64) {
         assert!(context < self.config.contexts(), "context out of range");
         assert!(action < self.config.actions(), "action out of range");
-        assert!(!payoff.is_nan(), "payoff must not be NaN");
+        assert!(payoff.is_finite(), "payoff must not be NaN or infinite");
         let n = &mut self.counts[context][action];
         *n += 1;
         let mean = &mut self.means[context][action];
@@ -437,5 +454,12 @@ mod tests {
         let (_, a) = run(120.0, 50);
         let (_, b) = run(120.0, 50);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "payoff must not be NaN or infinite")]
+    fn observe_rejects_infinite_payoffs() {
+        let mut bandit = UcbAlp::new(BanditConfig::new(1, vec![1.0], 5.0, 5), 0);
+        bandit.observe(0, 0, f64::INFINITY);
     }
 }

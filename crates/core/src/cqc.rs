@@ -31,6 +31,15 @@ impl QueryFeatures {
     ///
     /// Panics if the response has no worker responses.
     pub fn extract(response: &QueryResponse) -> Vec<f64> {
+        Self::extract_array(response).to_vec()
+    }
+
+    /// [`QueryFeatures::extract`] into a fixed array, with no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response has no worker responses.
+    pub fn extract_array(response: &QueryResponse) -> [f64; Self::DIM] {
         assert!(
             !response.responses.is_empty(),
             "cannot extract features from an empty response"
@@ -62,12 +71,18 @@ impl QueryFeatures {
             .sum::<f64>();
         let top_share = votes.iter().copied().fold(0.0, f64::max);
 
-        let mut features = Vec::with_capacity(Self::DIM);
-        features.extend_from_slice(&votes);
-        features.extend_from_slice(&questions);
-        features.push(entropy);
-        features.push(top_share);
-        features.push(f64::from(response.incentive.cents()) / 20.0);
+        let tail = [
+            entropy,
+            top_share,
+            f64::from(response.incentive.cents()) / 20.0,
+        ];
+        let mut features = [0.0; Self::DIM];
+        for (slot, value) in features
+            .iter_mut()
+            .zip(votes.iter().chain(&questions).chain(&tail))
+        {
+            *slot = *value;
+        }
         features
     }
 }
@@ -142,7 +157,7 @@ impl QualityController {
 
     /// The truthful-label distribution for a live response. Untrained
     /// controllers fall back to the normalized vote histogram (majority
-    /// voting).
+    /// voting). Allocates nothing.
     ///
     /// # Panics
     ///
@@ -150,8 +165,9 @@ impl QualityController {
     pub fn infer(&self, response: &QueryResponse) -> ClassDistribution {
         match &self.model {
             Some(model) => {
-                let probs = model.predict_proba(&QueryFeatures::extract(response));
-                ClassDistribution::from_weights([probs[0], probs[1], probs[2]])
+                let mut probs = [0.0; DamageLabel::COUNT];
+                model.predict_proba_into(&QueryFeatures::extract_array(response), &mut probs);
+                ClassDistribution::from_weights(probs)
             }
             None => {
                 let mut votes = [0.0f64; DamageLabel::COUNT];
@@ -170,7 +186,9 @@ impl QualityController {
 }
 
 // Snapshot codec: the boosting configuration plus the (optionally trained)
-// model, both already validated by their own decoders.
+// model, both already validated by their own decoders. A model must also
+// have the shape `train` gives it (one score per damage label over
+// `QueryFeatures::DIM` features), or `infer` would panic on it.
 impl Encode for QualityController {
     fn encode(&self, out: &mut Vec<u8>) {
         self.config.encode(out);
@@ -180,10 +198,17 @@ impl Encode for QualityController {
 
 impl Decode for QualityController {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
+        let controller = Self {
             config: GbdtConfig::decode(r)?,
             model: Option::<GbdtClassifier>::decode(r)?,
-        })
+        };
+        let fits = controller.model.as_ref().is_none_or(|model| {
+            model.classes() == DamageLabel::COUNT && model.features() == QueryFeatures::DIM
+        });
+        if !fits {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(controller)
     }
 }
 
@@ -304,5 +329,25 @@ mod tests {
             TemporalContext::Afternoon,
         );
         assert_eq!(cqc.infer(&resp), back.infer(&resp));
+    }
+
+    #[test]
+    fn decode_rejects_models_infer_cannot_use() {
+        let rows: Vec<Vec<f64>> = (0..12).map(|i| vec![f64::from(i); 2]).collect();
+        let labels: Vec<usize> = (0..12).map(|i| i % 2).collect();
+        let config = GbdtConfig {
+            rounds: 2,
+            ..GbdtConfig::small()
+        };
+        // Two classes over two features, where `infer` needs three over
+        // `QueryFeatures::DIM`.
+        let cqc = QualityController {
+            model: Some(GbdtClassifier::fit(&rows, &labels, 2, &config)),
+            config,
+        };
+        assert_eq!(
+            QualityController::from_bytes(&cqc.to_bytes()).map(|c| c.is_trained()),
+            Err(DecodeError::Invalid)
+        );
     }
 }

@@ -10,6 +10,11 @@ use serde::{Deserialize, Serialize};
 #[cfg(test)]
 mod reference;
 
+/// How many trees [`GbdtClassifier::decision_scores_into`] walks side by
+/// side: enough independent chains of loads to hide each other's latency,
+/// few enough that their indices stay in registers.
+const LANES: usize = 6;
+
 /// Hyperparameters of [`GbdtClassifier::fit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GbdtConfig {
@@ -244,11 +249,9 @@ impl GbdtClassifier {
             builder.begin_round(&rows_used);
 
             // Softmax probabilities for the current scores.
-            for (score, prob) in scores
-                .chunks_exact(classes)
-                .zip(probs.chunks_exact_mut(classes))
-            {
-                softmax_into(score, prob);
+            probs.copy_from_slice(&scores);
+            for prob in probs.chunks_exact_mut(classes) {
+                softmax_in_place(prob);
             }
 
             let mut round_trees = Vec::with_capacity(classes);
@@ -318,19 +321,61 @@ impl GbdtClassifier {
     ///
     /// Panics if `row.len() != self.features()`.
     pub fn decision_scores(&self, row: &[f64]) -> Vec<f64> {
+        let mut scores = vec![0.0; self.classes];
+        self.decision_scores_into(row, &mut scores);
+        scores
+    }
+
+    /// [`GbdtClassifier::decision_scores`] written into `scores`, with no
+    /// allocation.
+    ///
+    /// The trees are taken in round-major, per-class order, [`LANES`] at a
+    /// time, and walked side by side; each leaf weight is then added to its
+    /// class's score in that same order. Every score is the same sum in the
+    /// same order as one `predict` per tree, so the result is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.features()` or
+    /// `scores.len() != self.classes()`.
+    pub fn decision_scores_into(&self, row: &[f64], scores: &mut [f64]) {
         assert_eq!(row.len(), self.features, "feature arity mismatch");
-        let mut scores = self.base_scores.clone();
-        for round in &self.trees {
-            for (class, tree) in round.iter().enumerate() {
-                scores[class] += self.learning_rate * tree.predict(row);
+        assert_eq!(scores.len(), self.classes, "one score per class");
+        scores.copy_from_slice(&self.base_scores);
+        let mut trees = self.trees.iter().flat_map(|round| round.iter().enumerate());
+        while let Some(first) = trees.next() {
+            // A short last group pads with `first`, walked but not summed.
+            let mut lanes = [first; LANES];
+            let mut filled = 1;
+            for lane in &mut lanes[1..] {
+                let Some(next) = trees.next() else { break };
+                *lane = next;
+                filled += 1;
+            }
+            let weights = RegressionTree::predict_lanes(lanes.map(|(_, tree)| tree), row);
+            for (&(class, _), weight) in lanes[..filled].iter().zip(weights) {
+                scores[class] += self.learning_rate * weight;
             }
         }
-        scores
     }
 
     /// Class-probability vector (softmax of the decision scores).
     pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        softmax(&self.decision_scores(row))
+        let mut probs = vec![0.0; self.classes];
+        self.predict_proba_into(row, &mut probs);
+        probs
+    }
+
+    /// [`GbdtClassifier::predict_proba`] written into `probs`, with no
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.features()` or
+    /// `probs.len() != self.classes()`.
+    pub fn predict_proba_into(&self, row: &[f64], probs: &mut [f64]) {
+        self.decision_scores_into(row, probs);
+        softmax_in_place(probs);
     }
 
     /// The most probable class.
@@ -463,20 +508,20 @@ fn log_loss_of_scores(scores: &[Vec<f64>], labels: &[usize]) -> f64 {
 }
 
 fn softmax(scores: &[f64]) -> Vec<f64> {
-    let mut probs = vec![0.0; scores.len()];
-    softmax_into(scores, &mut probs);
+    let mut probs = scores.to_vec();
+    softmax_in_place(&mut probs);
     probs
 }
 
-/// Writes the softmax of `scores` into `probs` (same length).
-fn softmax_into(scores: &[f64], probs: &mut [f64]) {
-    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    for (p, s) in probs.iter_mut().zip(scores) {
-        *p = (s - max).exp();
+/// Replaces `values` (raw scores) by their softmax.
+fn softmax_in_place(values: &mut [f64]) {
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
     }
-    let sum: f64 = probs.iter().sum();
-    for p in probs.iter_mut() {
-        *p /= sum;
+    let sum: f64 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum;
     }
 }
 
@@ -880,6 +925,57 @@ mod tests {
             2,
             &GbdtConfig::small(),
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        /// Over random forests (tree counts mostly not a multiple of the
+        /// walk width) and rows holding NaN, `±inf`, `±0` and threshold
+        /// values, the interleaved walk gives the same score bits as one
+        /// pointer walk per tree summed in round-major, per-class order.
+        #[test]
+        fn interleaved_scores_match_one_walk_per_tree(seed in 0u64..u64::MAX) {
+            use crate::tree::oracle::{random_row, OracleTree};
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let classes = rng.gen_range(2..5usize);
+            let features = rng.gen_range(1..6usize);
+            let rounds = rng.gen_range(1..10usize);
+            let forest: Vec<Vec<OracleTree>> = (0..rounds)
+                .map(|_| {
+                    (0..classes)
+                        .map(|_| {
+                            let max_depth = rng.gen_range(0..=8usize);
+                            OracleTree::random(&mut rng, max_depth, features)
+                        })
+                        .collect()
+                })
+                .collect();
+            let model = GbdtClassifier {
+                trees: forest
+                    .iter()
+                    .map(|round| round.iter().map(|o| o.tree.clone()).collect())
+                    .collect(),
+                base_scores: (0..classes).map(|_| rng.gen_range(-2.0..0.0)).collect(),
+                classes,
+                features,
+                learning_rate: rng.gen_range(0.01..1.0),
+                importance: vec![0.0; features],
+            };
+            for _ in 0..6 {
+                let row = random_row(&mut rng, features);
+                let mut want = model.base_scores.clone();
+                for round in &forest {
+                    for (class, oracle) in round.iter().enumerate() {
+                        want[class] += model.learning_rate * oracle.predict(&row);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&model.decision_scores(&row)), bits(&want));
+                proptest::prop_assert_eq!(bits(&model.predict_proba(&row)), bits(&softmax(&want)));
+            }
+        }
     }
 
     #[test]

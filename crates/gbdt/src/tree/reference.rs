@@ -1,7 +1,7 @@
 //! The recursive exact/histogram tree builder this crate shipped before the
-//! presorted column-block builder, kept verbatim (apart from building the
-//! tree through `from_nodes`) as the test oracle: the production builder
-//! must reproduce its trees bit for bit.
+//! presorted column-block builder, kept verbatim (apart from building a
+//! `Node` list and packing it through `from_nodes`) as the test oracle: the
+//! production builder must reproduce its trees bit for bit.
 
 use super::{Node, RegressionTree, SplitMode, TreeParams};
 
@@ -19,15 +19,15 @@ impl RegressionTree {
         params: &TreeParams,
     ) -> Self {
         assert!(!rows.is_empty(), "tree needs at least one row");
-        let mut tree = Self::from_nodes(Vec::new());
-        tree.build_reference(features, grad, hess, rows, columns, params, 0);
-        Self::from_nodes(tree.nodes)
+        let mut nodes = Vec::new();
+        Self::build_reference(&mut nodes, features, grad, hess, rows, columns, params, 0);
+        Self::from_nodes(nodes)
     }
 
     /// Recursively builds the subtree over `rows`, returning its node index.
     #[allow(clippy::too_many_arguments)]
     fn build_reference(
-        &mut self,
+        nodes: &mut Vec<Node>,
         features: &[Vec<f64>],
         grad: &[f64],
         hess: &[f64],
@@ -39,14 +39,14 @@ impl RegressionTree {
         let g_sum: f64 = rows.iter().map(|&r| grad[r]).sum();
         let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
 
-        let make_leaf = |tree: &mut Self| {
+        let make_leaf = |nodes: &mut Vec<Node>| {
             let weight = -g_sum / (h_sum + params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
+            nodes.push(Node::Leaf { weight });
+            nodes.len() - 1
         };
 
         if depth >= params.max_depth || rows.len() < 2 {
-            return make_leaf(self);
+            return make_leaf(nodes);
         }
 
         let parent_score = g_sum * g_sum / (h_sum + params.lambda);
@@ -120,7 +120,7 @@ impl RegressionTree {
         }
 
         let Some((feature, threshold, gain)) = best else {
-            return make_leaf(self);
+            return make_leaf(nodes);
         };
 
         let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
@@ -129,16 +129,25 @@ impl RegressionTree {
         if left_rows.is_empty() || right_rows.is_empty() {
             // Possible under histogram splitting when a bin edge separates
             // no samples (e.g. empty leading bins): fall back to a leaf.
-            return make_leaf(self);
+            return make_leaf(nodes);
         }
 
         // Reserve this node's slot before recursing so child indices are
         // stable.
-        let index = self.nodes.len();
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        let left =
-            self.build_reference(features, grad, hess, &left_rows, columns, params, depth + 1);
-        let right = self.build_reference(
+        let index = nodes.len();
+        nodes.push(Node::Leaf { weight: 0.0 });
+        let left = Self::build_reference(
+            nodes,
+            features,
+            grad,
+            hess,
+            &left_rows,
+            columns,
+            params,
+            depth + 1,
+        );
+        let right = Self::build_reference(
+            nodes,
             features,
             grad,
             hess,
@@ -147,7 +156,7 @@ impl RegressionTree {
             params,
             depth + 1,
         );
-        self.nodes[index] = Node::Split {
+        nodes[index] = Node::Split {
             feature,
             threshold,
             gain,
