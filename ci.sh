@@ -30,9 +30,6 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
-echo "==> gbdt crate tests (column-block fit vs. reference builder oracle)"
-cargo test -q --offline -p crowdlearn-gbdt
-
 echo "==> checkpoint/resume roundtrip smoke"
 cargo run -q --release --offline --example checkpoint_resume
 

@@ -748,18 +748,16 @@ mod tests {
 
     /// A one-round, two-class, one-feature model frame whose trees are a
     /// single split over two leaves, with the given split and leaf fields.
-    fn crafted_frame(feature: usize, threshold: f64, gain: f64, leaf: f64) -> Vec<u8> {
+    fn crafted_frame(feature: u32, threshold: f64, gain: f64, leaf: f64) -> Vec<u8> {
         let mut out = Vec::new();
         1usize.encode(&mut out); // rounds
         2usize.encode(&mut out); // trees in the round
         for _ in 0..2 {
-            3usize.encode(&mut out); // nodes
+            3usize.encode(&mut out); // nodes, in pre-order
             1u8.encode(&mut out);
             feature.encode(&mut out);
             threshold.encode(&mut out);
             gain.encode(&mut out);
-            1usize.encode(&mut out);
-            2usize.encode(&mut out);
             0u8.encode(&mut out);
             leaf.encode(&mut out);
             0u8.encode(&mut out);
@@ -784,7 +782,7 @@ mod tests {
     #[test]
     fn decode_rejects_splits_on_missing_features() {
         // Would panic on `row[feature]` at the first `predict`.
-        for feature in [1, 7, usize::MAX >> 1] {
+        for feature in [1, 7, u32::MAX] {
             assert_eq!(
                 GbdtClassifier::from_bytes(&crafted_frame(feature, 0.5, 1.0, -0.5)),
                 Err(DecodeError::Invalid),

@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 pub(crate) mod oracle;
 #[cfg(test)]
 mod reference;
+#[cfg(test)]
+use oracle::Node;
 
 /// How candidate split thresholds are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -41,33 +43,13 @@ pub(crate) struct TreeParams {
     pub split_mode: SplitMode,
 }
 
-/// One node in the wire layout, field by field: the reference codec that
-/// `RegressionTree`'s one-record-per-node codec reproduces byte for byte.
-/// In tests it is also the pointer-walk tree that the packed table is
-/// checked against. Outside tests nothing builds one: its codec stays as
-/// the wire format's reference (and the schema lock's `Node` entry).
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        weight: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Gain of this split (used for feature importance).
-        gain: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
 /// One record of a [`RegressionTree`]'s packed node table (32 bytes).
 ///
 /// A split sends a row to `left` when `row[feature] < value` and to `right`
-/// otherwise. A leaf loops on itself (`left == right ==` its own index), so
-/// a walk that has reached it may keep stepping without moving; its
-/// `feature` is 0.
+/// otherwise. The table is in pre-order, so a split's `left` is the next
+/// index and its `right` follows the left subtree. A leaf loops on itself
+/// (`left == right ==` its own index), so a walk that has reached it may
+/// keep stepping without moving; its `feature` is 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PackedNode {
     /// A split's threshold, or a leaf's weight.
@@ -79,9 +61,7 @@ struct PackedNode {
     feature: u32,
     left: u32,
     right: u32,
-    /// Edges on the longest path from the root to this node. Children sit
-    /// at higher indices than their parents, so one pass in index order
-    /// settles every level: each node stamps `level + 1` into its children.
+    /// Edges on the path from the root to this node.
     level: u32,
 }
 
@@ -673,96 +653,47 @@ impl Decode for SplitMode {
     }
 }
 
-/// The reference node layout, field by field. `RegressionTree`'s codec
-/// writes and reads the same bytes one record per node; a proptest holds
-/// it to this codec.
-impl Encode for Node {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Node::Leaf { weight } => {
-                0u8.encode(out);
-                weight.encode(out);
-            }
-            Node::Split {
-                feature,
-                threshold,
-                gain,
-                left,
-                right,
-            } => {
-                1u8.encode(out);
-                feature.encode(out);
-                threshold.encode(out);
-                gain.encode(out);
-                left.encode(out);
-                right.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Node {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Node::Leaf {
-                weight: f64::decode(r)?,
-            }),
-            1 => Ok(Node::Split {
-                feature: usize::decode(r)?,
-                threshold: f64::decode(r)?,
-                gain: f64::decode(r)?,
-                left: usize::decode(r)?,
-                right: usize::decode(r)?,
-            }),
-            _ => Err(DecodeError::Invalid),
-        }
-    }
-}
-
-/// Wire size of a leaf node: tag 0, then the weight.
+/// Wire size of a leaf record: tag 0, then the weight.
 const LEAF_BYTES: usize = 1 + 8;
-/// Wire size of a split node: tag 1, then feature, threshold, gain, left
-/// and right, eight bytes each.
-const SPLIT_BYTES: usize = 1 + 5 * 8;
+/// Wire size of a split record: tag 1, then the `u32` feature, the
+/// threshold and the gain.
+const SPLIT_BYTES: usize = 1 + 4 + 8 + 8;
 
-/// The `i`-th little-endian 8-byte field after a node record's tag.
+/// The end of the decoder's chain of open splits. A tree has at most
+/// `u32::MAX` nodes, so no node index is this.
+const NO_SPLIT: u32 = u32::MAX;
+
+/// The little-endian `f64` at `at` in a record.
 #[inline]
-fn record_field<const N: usize>(record: &[u8; N], i: usize) -> u64 {
+fn f64_at<const N: usize>(record: &[u8; N], at: usize) -> f64 {
     let mut field = [0u8; 8];
-    field.copy_from_slice(&record[1 + 8 * i..9 + 8 * i]);
-    u64::from_le_bytes(field)
-}
-
-/// Writes one 8-byte field after a node record's tag.
-#[inline]
-fn set_record_field<const N: usize>(record: &mut [u8; N], i: usize, value: u64) {
-    record[1 + 8 * i..9 + 8 * i].copy_from_slice(&value.to_le_bytes());
+    field.copy_from_slice(&record[at..at + 8]);
+    f64::from_bits(u64::from_le_bytes(field))
 }
 
 impl PackedNode {
-    /// Appends this node's wire record: `Node`'s codec for the same node.
+    /// Appends this node's wire record.
     #[inline]
     fn write_record(&self, out: &mut Vec<u8>) {
         if self.is_leaf() {
             let mut record = [0u8; LEAF_BYTES];
-            set_record_field(&mut record, 0, self.value.to_bits());
+            record[1..].copy_from_slice(&self.value.to_bits().to_le_bytes());
             out.extend_from_slice(&record);
         } else {
             let mut record = [0u8; SPLIT_BYTES];
             record[0] = 1;
-            set_record_field(&mut record, 0, u64::from(self.feature));
-            set_record_field(&mut record, 1, self.value.to_bits());
-            set_record_field(&mut record, 2, self.gain.to_bits());
-            set_record_field(&mut record, 3, u64::from(self.left));
-            set_record_field(&mut record, 4, u64::from(self.right));
+            record[1..5].copy_from_slice(&self.feature.to_le_bytes());
+            record[5..13].copy_from_slice(&self.value.to_bits().to_le_bytes());
+            record[13..].copy_from_slice(&self.gain.to_bits().to_le_bytes());
             out.extend_from_slice(&record);
         }
     }
 }
 
 impl Encode for RegressionTree {
-    /// The bytes of `Vec<Node>`'s codec for the same nodes, each node
-    /// written as one record.
+    /// The node count, then one record per node in pre-order. No record
+    /// carries a child index: a split's left child is the next record and
+    /// its right child follows the left subtree.
     fn encode(&self, out: &mut Vec<u8>) {
         self.nodes.len().encode(out);
         for node in &self.nodes {
@@ -772,108 +703,95 @@ impl Encode for RegressionTree {
 }
 
 impl Decode for RegressionTree {
-    /// Returns exactly what `Vec::<Node>::decode` followed by the checks
-    /// below and the packing would (pinned by a proptest), reading each node
-    /// with a single bounds check. (On a 32-bit target, a truncated split
-    /// whose index overflows `usize` reports `Truncated` where the
-    /// field-by-field decode reports `Invalid`.)
+    /// Rebuilds the packed table in one pass over the records, without
+    /// recursion. The first fault in stream order decides the error: a
+    /// count of 0 or past `u32::MAX`, an unknown tag or a non-finite number
+    /// is `Invalid`, input that ends inside the tree is `Truncated`, and a
+    /// count that is not exactly one whole tree (records left once the
+    /// root closes, or a split still waiting when they run out) is
+    /// `Invalid`. Every tree it accepts re-encodes to its wire bytes.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = usize::decode(r)?;
-        // `build` reserves a parent's slot before recursing, so children
-        // always carry strictly larger indices; enforcing that here makes
-        // every level final once its node is reached and `predict`'s walk
-        // provably lands on a leaf. Fitted trees only hold finite numbers,
-        // and a non-finite leaf weight would poison every score that
-        // reaches it. The checks run as the nodes are read, but their
-        // verdict waits until every node has decoded, so a truncated tree
-        // reports `Truncated` whatever its early nodes hold. A `len` that
-        // fits `u32` makes every node index fit the table, and a feature
-        // must fit the record's `u32`, so every accepted tree re-encodes to
-        // its wire bytes.
-        let mut valid = len > 0 && u32::try_from(len).is_ok();
-        // `depth` and `features_used` are taken in the same pass: the
-        // deepest node is a leaf (a split's children sit deeper), and a
-        // tree with a split has a leaf below level 0 (the last split's
-        // children are leaves).
-        let mut depth = 0;
-        let mut max_feature = 0;
-        // Every record takes at least `LEAF_BYTES`, so node `idx` is only
-        // read once `(idx + 1) * LEAF_BYTES` bytes were there: the table
-        // never needs to grow, and a parent can stamp its children's level
-        // into their slots before they are read.
-        let mut nodes = vec![PackedNode::leaf(0, 0.0, 0); len.min(r.remaining() / LEAF_BYTES)];
-        let mut own = 0u32;
-        for idx in 0..len {
-            let level = nodes.get(idx).map_or(0, |slot| slot.level);
-            let node = match r.peek() {
+        // A count of 0 never closes the root, so it ends as `Invalid` below.
+        let records = u32::try_from(len).map_err(|_| DecodeError::Invalid)?;
+        // Every record takes at least `LEAF_BYTES`, so a count the input
+        // cannot hold reserves no more than the input could fill.
+        let mut nodes = Vec::with_capacity(len.min(r.remaining() / LEAF_BYTES));
+        // The splits whose left subtree is still open form a stack threaded
+        // through their `right` slots: `open` is the innermost, each one's
+        // `right` names the next one out, and a leaf pops one, whose right
+        // child is the next record.
+        let mut open = NO_SPLIT;
+        let mut closed = false;
+        let mut level = 0u32;
+        let mut depth = 0u32;
+        let mut max_feature = None;
+        for own in 0..records {
+            if closed {
+                return Err(DecodeError::Invalid);
+            }
+            match r.peek() {
                 Some(0) => {
-                    let record = r.take_array::<LEAF_BYTES>()?;
-                    let weight = f64::from_bits(record_field(record, 0));
-                    valid &= weight.is_finite();
+                    let weight = f64_at(r.take_array::<LEAF_BYTES>()?, 1);
+                    if !weight.is_finite() {
+                        return Err(DecodeError::Invalid);
+                    }
+                    nodes.push(PackedNode::leaf(own, weight, level));
                     depth = depth.max(level);
-                    PackedNode::leaf(own, weight, level)
+                    // `NO_SPLIT` names no slot, since the table holds at
+                    // most `u32::MAX` nodes.
+                    let slot = usize::try_from(open).unwrap_or(usize::MAX);
+                    if let Some(parent) = nodes.get_mut(slot) {
+                        open = parent.right;
+                        parent.right = own + 1;
+                        level = parent.level + 1;
+                    } else {
+                        closed = true;
+                    }
                 }
                 Some(1) => {
                     let record = r.take_array::<SPLIT_BYTES>()?;
-                    let index = |i| {
-                        usize::try_from(record_field(record, i)).map_err(|_| DecodeError::Invalid)
-                    };
-                    let feature = index(0)?;
-                    let narrow_feature = u32::try_from(feature);
-                    let threshold = f64::from_bits(record_field(record, 1));
-                    let gain = f64::from_bits(record_field(record, 2));
-                    let left = index(3)?;
-                    let right = index(4)?;
-                    max_feature = max_feature.max(feature);
-                    // `child - (idx + 1) < len - (idx + 1)` is
-                    // `idx < child < len`, one compare per child.
-                    let later = len - idx - 1;
-                    valid &= narrow_feature.is_ok()
-                        & threshold.is_finite()
-                        & gain.is_finite()
-                        & (left.wrapping_sub(idx + 1) < later)
-                        & (right.wrapping_sub(idx + 1) < later);
-                    for child in [left, right] {
-                        if let Some(slot) = nodes.get_mut(child) {
-                            slot.level = slot.level.max(level.saturating_add(1));
-                        }
+                    let feature = u32::from_le_bytes([record[1], record[2], record[3], record[4]]);
+                    let threshold = f64_at(record, 5);
+                    let gain = f64_at(record, 13);
+                    if !(threshold.is_finite() && gain.is_finite()) {
+                        return Err(DecodeError::Invalid);
                     }
-                    PackedNode {
+                    max_feature = max_feature.max(Some(feature));
+                    nodes.push(PackedNode {
                         value: threshold,
                         gain,
-                        feature: narrow_feature.unwrap_or(0),
-                        left: u32::try_from(left).unwrap_or(0),
-                        right: u32::try_from(right).unwrap_or(0),
+                        feature,
+                        left: own + 1,
+                        right: open,
                         level,
-                    }
+                    });
+                    open = own;
+                    level += 1;
                 }
                 Some(_) => return Err(DecodeError::Invalid),
                 None => return Err(DecodeError::Truncated),
-            };
-            nodes[idx] = node;
-            own = own.wrapping_add(1);
+            }
         }
-        if !valid {
+        if !closed {
             return Err(DecodeError::Invalid);
         }
         Ok(Self {
             nodes,
             depth,
-            features_used: if depth > 0 {
-                max_feature.saturating_add(1)
-            } else {
-                0
-            },
+            features_used: max_feature.map_or(0, |feature| {
+                usize::try_from(feature).map_or(usize::MAX, |feature| feature + 1)
+            }),
         })
     }
 }
 
 #[cfg(test)]
 impl RegressionTree {
-    /// Packs a wire-layout node list exactly as `decode` packs its records
-    /// (levels stamped parent to child in index order, `features_used` from
-    /// the split features). The children of every split must lie in the
-    /// list, and every feature must fit `u32`.
+    /// Packs a pre-order `Node` list: levels stamped parent to child in
+    /// index order, `features_used` from the split features. The children
+    /// of every split must lie later in the list, and every feature must
+    /// fit `u32`.
     fn from_nodes(nodes: Vec<Node>) -> Self {
         let mut packed: Vec<PackedNode> = Vec::with_capacity(nodes.len());
         let mut levels = vec![0u32; nodes.len()];
@@ -891,7 +809,7 @@ impl RegressionTree {
                 } => {
                     features_used = features_used.max(feature + 1);
                     for child in [left, right] {
-                        levels[child] = levels[child].max(level + 1);
+                        levels[child] = level + 1;
                     }
                     PackedNode {
                         value: threshold,
@@ -911,9 +829,9 @@ impl RegressionTree {
         }
     }
 
-    /// The wire-layout node list this tree's table stands for: the inverse
-    /// of [`RegressionTree::from_nodes`], written without the record codec
-    /// so that `Node`'s field-by-field codec can check it.
+    /// The `Node` list this tree's table stands for: the inverse of
+    /// [`RegressionTree::from_nodes`], written without the record codec so
+    /// that `Node`'s field-by-field codec can check it.
     fn to_nodes(&self) -> Vec<Node> {
         self.nodes
             .iter()
@@ -936,6 +854,7 @@ impl RegressionTree {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, OracleTree};
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1150,85 +1069,55 @@ mod tests {
         assert!(importance[0] > importance[1]);
     }
 
-    /// Today's field-by-field decode: the generic `Vec<Node>` codec, then
-    /// the structural checks as a second pass.
+    /// The recursive field-by-field reference decode, packed.
     fn reference_decode(r: &mut Reader<'_>) -> Result<RegressionTree, DecodeError> {
-        let nodes = Vec::<Node>::decode(r)?;
-        if nodes.is_empty() {
-            return Err(DecodeError::Invalid);
-        }
-        for (idx, node) in nodes.iter().enumerate() {
-            let valid = match *node {
-                Node::Leaf { weight } => weight.is_finite(),
-                Node::Split {
-                    feature,
-                    threshold,
-                    gain,
-                    left,
-                    right,
-                } => {
-                    u32::try_from(feature).is_ok()
-                        && threshold.is_finite()
-                        && gain.is_finite()
-                        && left > idx
-                        && right > idx
-                        && left < nodes.len()
-                        && right < nodes.len()
-                }
-            };
-            if !valid {
-                return Err(DecodeError::Invalid);
-            }
-        }
-        Ok(RegressionTree::from_nodes(nodes))
+        oracle::read_nodes(r).map(RegressionTree::from_nodes)
     }
 
-    /// A float that is usually finite and sometimes NaN or infinite.
-    fn wire_float(rng: &mut StdRng) -> f64 {
-        match rng.gen_range(0..12u32) {
-            0 => f64::NAN,
-            1 => f64::INFINITY,
-            2 => f64::NEG_INFINITY,
-            _ => rng.gen_range(-4.0..4.0),
-        }
+    /// NaN or an infinity.
+    fn non_finite(rng: &mut StdRng) -> f64 {
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)]
     }
 
-    /// A child index that is usually valid for node `idx` of `len`.
-    fn wire_child(rng: &mut StdRng, idx: usize, len: usize) -> usize {
-        match rng.gen_range(0..10u32) {
-            0 => rng.gen_range(0..idx + 1),
-            1 => len + rng.gen_range(0..3usize),
-            2 => usize::MAX,
-            _ if idx + 1 < len => rng.gen_range(idx + 1..len),
-            _ => len,
-        }
-    }
-
-    /// A node list that is often a valid tree, encoded by `Node`'s codec.
+    /// A record string that is often one valid tree: a random tree in which
+    /// one number may be non-finite and a split may test the widest
+    /// feature, with sometimes a record dropped or added and sometimes a
+    /// wrong count.
     fn random_tree_bytes(rng: &mut StdRng) -> Vec<u8> {
-        let len = rng.gen_range(0..24usize);
-        let nodes: Vec<Node> = (0..len)
-            .map(|idx| {
-                if rng.gen_bool(0.5) {
-                    Node::Leaf {
-                        weight: wire_float(rng),
-                    }
-                } else {
-                    Node::Split {
-                        feature: if rng.gen_bool(0.05) {
-                            usize::MAX
-                        } else {
-                            rng.gen_range(0..12usize)
-                        },
-                        threshold: wire_float(rng),
-                        gain: wire_float(rng),
-                        left: wire_child(rng, idx, len),
-                        right: wire_child(rng, idx, len),
-                    }
-                }
-            })
-            .collect();
-        nodes.to_bytes()
+        let max_depth = rng.gen_range(0..6usize);
+        let mut nodes = OracleTree::random(rng, max_depth, 12).nodes;
+        let at = rng.gen_range(0..nodes.len());
+        match &mut nodes[at] {
+            Node::Leaf { weight } if rng.gen_bool(0.2) => *weight = non_finite(rng),
+            Node::Split {
+                feature,
+                threshold,
+                gain,
+                ..
+            } => match rng.gen_range(0..10u32) {
+                0 => *threshold = non_finite(rng),
+                1 => *gain = non_finite(rng),
+                2 => *feature = u32::MAX as usize,
+                _ => {}
+            },
+            Node::Leaf { .. } => {}
+        }
+        match rng.gen_range(0..8u32) {
+            0 => drop(nodes.pop()),
+            1 => nodes.push(Node::Leaf { weight: 0.5 }),
+            _ => {}
+        }
+        let mut bytes = oracle::write_nodes(&nodes);
+        let count = nodes.len() as u64;
+        let count = match rng.gen_range(0..10u32) {
+            0 => count + 1,
+            1 => count.saturating_sub(1),
+            2 => 0,
+            3 => u64::from(u32::MAX) + 1,
+            _ => count,
+        };
+        bytes[..8].copy_from_slice(&count.to_le_bytes());
+        bytes
     }
 
     /// Flips bits, rewrites bytes, truncates or extends the string.
@@ -1250,12 +1139,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
 
-        /// On random and mutated node strings the one-record-per-node loop
-        /// returns exactly the reference's `Ok` tree or error and leaves the
-        /// reader at the same place; every tree it accepts re-encodes to the
-        /// bytes it was read from.
+        /// On random and mutated record strings the one-pass stack decoder
+        /// returns exactly the recursive reference's `Ok` tree or error and
+        /// leaves the reader at the same place; every tree it accepts
+        /// re-encodes to exactly the bytes it was read from.
         #[test]
-        fn node_loop_decode_matches_the_generic_codec(seed in 0u64..u64::MAX, mutated in 0u32..3) {
+        fn stack_decode_matches_the_recursive_reference(seed in 0u64..u64::MAX, mutated in 0u32..3) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut bytes = random_tree_bytes(&mut rng);
             if mutated > 0 {
@@ -1272,40 +1161,200 @@ mod tests {
         }
     }
 
-    /// A split's feature must fit the record's `u32`: the widest one
-    /// re-encodes to its wire bytes, and one past it is rejected rather
-    /// than narrowed.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// A fitted tree's bytes are `Node`'s field-by-field bytes for its
+        /// node list, and decode to a tree `==` the fitted one: the same
+        /// table, levels and depth included.
+        #[test]
+        fn fitted_trees_decode_to_themselves(seed in 0u64..u64::MAX, max_depth in 0usize..7) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows = rng.gen_range(2..60usize);
+            let features: Vec<Vec<f64>> = (0..rows)
+                .map(|_| (0..3).map(|_| f64::from(rng.gen_range(0..8u8))).collect())
+                .collect();
+            let targets: Vec<f64> = (0..rows).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let params = TreeParams { max_depth, ..PARAMS };
+            let tree = fit_regression(&features, &targets, &params);
+            let bytes = tree.to_bytes();
+            proptest::prop_assert_eq!(&bytes, &oracle::write_nodes(&tree.to_nodes()));
+            proptest::prop_assert_eq!(RegressionTree::from_bytes(&bytes), Ok(tree));
+        }
+    }
+
+    fn leaf(weight: f64) -> Node {
+        Node::Leaf { weight }
+    }
+
+    /// A split record (its children are implied by its place in the list).
+    fn split(feature: usize, threshold: f64, gain: f64) -> Node {
+        Node::Split {
+            feature,
+            threshold,
+            gain,
+            left: 0,
+            right: 0,
+        }
+    }
+
+    /// `nodes`' records behind a count prefix of `count`.
+    fn with_count(count: u64, nodes: &[Node]) -> Vec<u8> {
+        let mut bytes = oracle::write_nodes(nodes);
+        bytes[..8].copy_from_slice(&count.to_le_bytes());
+        bytes
+    }
+
+    /// Decodes one tree at the start of `bytes`, leaving any bytes after it.
+    fn decode_prefix(bytes: &[u8]) -> Result<RegressionTree, DecodeError> {
+        RegressionTree::decode(&mut Reader::new(bytes))
+    }
+
     #[test]
-    fn split_features_past_u32_are_rejected() {
-        let tree_bytes = |feature: usize| {
-            vec![
-                Node::Split {
-                    feature,
-                    threshold: 0.5,
-                    gain: 1.0,
-                    left: 1,
-                    right: 2,
-                },
-                Node::Leaf { weight: -1.0 },
-                Node::Leaf { weight: 1.0 },
-            ]
-            .to_bytes()
-        };
-        let widest = tree_bytes(u32::MAX as usize);
+    fn trailing_records_after_the_root_closes_are_rejected() {
+        for nodes in [
+            vec![leaf(1.0), leaf(2.0)],
+            vec![split(0, 0.5, 1.0), leaf(1.0), leaf(2.0), leaf(3.0)],
+            vec![split(0, 0.5, 1.0), leaf(1.0), leaf(2.0), split(0, 0.5, 1.0)],
+        ] {
+            let bytes = oracle::write_nodes(&nodes);
+            assert_eq!(decode_prefix(&bytes), Err(DecodeError::Invalid));
+        }
+        // Records past the count are not the tree's: they stay unread.
+        let mut bytes = with_count(3, &[split(0, 0.5, 1.0), leaf(1.0), leaf(2.0)]);
+        bytes.extend_from_slice(&oracle::write_nodes(&[leaf(3.0)])[8..]);
+        let mut r = Reader::new(&bytes);
+        let tree = RegressionTree::decode(&mut r).expect("the counted tree decodes");
+        assert_eq!((tree.node_count(), r.remaining()), (3, 9));
+    }
+
+    #[test]
+    fn a_split_whose_right_subtree_never_arrives_is_rejected() {
+        for nodes in [
+            vec![split(0, 0.5, 1.0), leaf(1.0)],
+            vec![split(0, 0.5, 1.0), split(1, 0.5, 1.0), leaf(1.0), leaf(2.0)],
+            vec![split(0, 0.5, 1.0)],
+        ] {
+            let bytes = oracle::write_nodes(&nodes);
+            assert_eq!(decode_prefix(&bytes), Err(DecodeError::Invalid));
+            // With a count that promises the missing records, the input
+            // ends inside the tree instead.
+            let promised = with_count(nodes.len() as u64 + 1, &nodes);
+            assert_eq!(decode_prefix(&promised), Err(DecodeError::Truncated));
+        }
+    }
+
+    #[test]
+    fn count_prefixes_of_zero_or_past_u32_are_rejected() {
+        let lone = [leaf(1.0)];
+        for count in [0, u64::from(u32::MAX) + 1, u64::MAX] {
+            assert_eq!(
+                decode_prefix(&with_count(count, &lone)),
+                Err(DecodeError::Invalid),
+                "count {count}"
+            );
+        }
+        assert_eq!(
+            decode_prefix(&with_count(0, &[])),
+            Err(DecodeError::Invalid)
+        );
+        // The largest count is read, and the lone leaf then closes the
+        // tree with records still owed.
+        assert_eq!(
+            decode_prefix(&with_count(u64::from(u32::MAX), &lone)),
+            Err(DecodeError::Invalid)
+        );
+        assert_eq!(decode_prefix(&[1, 0, 0]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn unknown_tags_are_rejected() {
+        let stump = oracle::write_nodes(&[split(0, 0.5, 1.0), leaf(1.0), leaf(2.0)]);
+        // The root's tag, the left leaf's and the right leaf's.
+        for at in [8, 8 + SPLIT_BYTES, 8 + SPLIT_BYTES + LEAF_BYTES] {
+            for tag in [2, 0x80, 0xff] {
+                let mut bytes = stump.clone();
+                bytes[at] = tag;
+                assert_eq!(
+                    decode_prefix(&bytes),
+                    Err(DecodeError::Invalid),
+                    "tag {tag} at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_weights_thresholds_and_gains_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for nodes in [
+                vec![leaf(bad)],
+                vec![split(0, 0.5, 1.0), leaf(1.0), leaf(bad)],
+                vec![split(0, bad, 1.0), leaf(1.0), leaf(2.0)],
+                vec![split(0, 0.5, bad), leaf(1.0), leaf(2.0)],
+            ] {
+                let bytes = oracle::write_nodes(&nodes);
+                assert_eq!(decode_prefix(&bytes), Err(DecodeError::Invalid));
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_inside_a_record_is_reported_as_truncated() {
+        let bytes = oracle::write_nodes(&[
+            split(2, 0.5, 1.0),
+            split(1, -0.5, 0.25),
+            leaf(1.0),
+            leaf(2.0),
+            leaf(3.0),
+        ]);
+        assert!(decode_prefix(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decode_prefix(&bytes[..cut]),
+                Err(DecodeError::Truncated),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    /// A left spine of 100,000 splits decodes in one pass, with no
+    /// recursion, into a tree that walks and re-encodes; without its last
+    /// leaf or its last byte it is a typed error.
+    #[test]
+    fn a_100k_deep_left_spine_decodes_without_recursion() {
+        const SPINE: usize = 100_000;
+        let mut nodes: Vec<Node> = (0..SPINE).map(|_| split(0, 1.0, 1.0)).collect();
+        nodes.extend((0..=SPINE).map(|i| leaf(i as f64)));
+        let bytes = oracle::write_nodes(&nodes);
+        let tree = RegressionTree::from_bytes(&bytes).expect("a deep spine decodes");
+        assert_eq!(tree.node_count(), 2 * SPINE + 1);
+        assert_eq!(tree.depth, SPINE as u32);
+        assert_eq!(tree.features_used(), 1);
+        // Left all the way to the first leaf; right at the root to the
+        // last one, which is the root's right child.
+        assert_eq!(tree.predict(&[0.0]), 0.0);
+        assert_eq!(tree.predict(&[2.0]), SPINE as f64);
+        assert_eq!(tree.to_bytes(), bytes);
+
+        let short = with_count(2 * SPINE as u64, &nodes[..2 * SPINE]);
+        assert_eq!(decode_prefix(&short), Err(DecodeError::Invalid));
+        assert_eq!(
+            decode_prefix(&bytes[..bytes.len() - 1]),
+            Err(DecodeError::Truncated)
+        );
+    }
+
+    /// A split's feature is a `u32` on the wire: the widest one decodes,
+    /// re-encodes to its wire bytes and asks rows for `u32::MAX + 1`
+    /// features.
+    #[test]
+    fn split_features_span_the_whole_u32_range() {
+        let widest =
+            oracle::write_nodes(&[split(u32::MAX as usize, 0.5, 1.0), leaf(-1.0), leaf(1.0)]);
         let tree = RegressionTree::from_bytes(&widest).expect("a u32 feature decodes");
         assert_eq!(tree.to_bytes(), widest);
         assert_eq!(tree.features_used(), u32::MAX as usize + 1);
-        for feature in [u32::MAX as usize + 1, usize::MAX] {
-            let bytes = tree_bytes(feature);
-            assert_eq!(
-                RegressionTree::from_bytes(&bytes),
-                Err(DecodeError::Invalid)
-            );
-            assert_eq!(
-                reference_decode(&mut Reader::new(&bytes)),
-                Err(DecodeError::Invalid)
-            );
-        }
     }
 
     #[test]
@@ -1315,7 +1364,7 @@ mod tests {
         let tree = fit_regression(&features, &targets, &PARAMS);
         assert!(tree.node_count() > 3);
         let bytes = tree.to_bytes();
-        assert_eq!(bytes, tree.to_nodes().to_bytes());
+        assert_eq!(bytes, oracle::write_nodes(&tree.to_nodes()));
         assert_eq!(RegressionTree::from_bytes(&bytes), Ok(tree));
     }
 }

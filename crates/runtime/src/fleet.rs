@@ -844,8 +844,11 @@ const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 /// 2 — the frame checksum is the runtime frame's word-at-a-time
 /// `frame_checksum` (and the embedded shard frames are runtime version 6).
 /// The fleet payload layout is unchanged; a v1 frame is refused with
-/// [`FleetSnapshotError::VersionMismatch`].
-pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// [`FleetSnapshotError::VersionMismatch`];
+/// 3 — the embedded shard frames are runtime version 7 (pre-order CQC tree
+/// records with implicit children). The fleet's own layout is unchanged; a
+/// v2 frame is refused with [`FleetSnapshotError::VersionMismatch`].
+pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Why a fleet snapshot could not be produced or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1296,12 +1299,14 @@ mod tests {
             Err(FleetSnapshotError::VersionMismatch { .. })
         ));
 
-        let mut previous_version = bytes.clone();
-        previous_version[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            FleetSnapshot::from_bytes(&previous_version),
-            Err(FleetSnapshotError::VersionMismatch { found: 1 })
-        );
+        for found in [1u32, 2] {
+            let mut previous_version = bytes.clone();
+            previous_version[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                FleetSnapshot::from_bytes(&previous_version),
+                Err(FleetSnapshotError::VersionMismatch { found })
+            );
+        }
 
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;

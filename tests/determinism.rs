@@ -666,6 +666,37 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     ));
 }
 
+/// The format bump to pre-order tree records (runtime v7, fleet v3) keeps no
+/// reader for the layout before it: a real frame restamped as runtime v6 or
+/// fleet v2 is refused with a typed `VersionMismatch` naming that version,
+/// before its payload is read.
+#[test]
+fn snapshots_refuse_the_previous_format_versions_with_typed_errors() {
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 8, 5);
+    let mut system = fresh_system(&dataset);
+    assert!(system
+        .run_until(&dataset, &stream, RunBound::Events(40))
+        .is_none());
+    let mut bytes = system.snapshot().expect("checkpointable").to_bytes();
+    bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
+    assert_eq!(
+        RuntimeSnapshot::from_bytes(&bytes),
+        Err(SnapshotError::VersionMismatch { found: 6 })
+    );
+
+    let (datasets, streams, mut fleet) = fleet_fixture(&[7, 8]);
+    assert!(fleet
+        .run_until(&datasets, &streams, RunBound::Events(60))
+        .is_none());
+    let mut bytes = fleet.snapshot().expect("checkpointable").to_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        FleetSnapshot::from_bytes(&bytes),
+        Err(FleetSnapshotError::VersionMismatch { found: 2 })
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: the empty-plan golden pin, faulted-run determinism, the
 // mid-outage checkpoint, per-shard fleet plans, and a seeded corruption

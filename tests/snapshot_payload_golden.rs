@@ -6,6 +6,12 @@
 //! snapshot and for a mid-run checkpoint of a faulted, tapped run. A change
 //! to the frame (its checksum or version field) leaves them alone; a change
 //! to any codec that moves one payload byte breaks them.
+//!
+//! Recorded at format v7, whose pre-order tree records dropped the child
+//! indices and narrowed split features to `u32`. The paper boot payload
+//! shrank by exactly what its CQC model's bytes did (457,052 → 280,452
+//! bytes, the model 450,510 → 273,910), and
+//! `tests/cqc_model_golden.rs` checks that model against its v6 digest.
 
 use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
@@ -38,7 +44,7 @@ fn assert_golden(name: &str, system: &PipelinedSystem, len: usize, digest: u64) 
 fn paper_boot_snapshot_payload_is_pinned() {
     let dataset = Dataset::generate(&DatasetConfig::paper());
     let system = PipelinedSystem::new(&dataset, CrowdLearnConfig::paper(), RuntimeConfig::paper());
-    assert_golden("paper boot", &system, 457_052, 0x9ad5_0233_89b5_7c0f);
+    assert_golden("paper boot", &system, 280_452, 0xabb6_d9b2_286b_bcbf);
 }
 
 #[test]
@@ -80,5 +86,5 @@ fn mid_run_faulted_tapped_snapshot_payload_is_pinned() {
     assert!(system
         .run_until(&dataset, &stream, RunBound::VirtualTime(1_450.0))
         .is_none());
-    assert_golden("mid-run faulted", &system, 442_395, 0xd22c_ac0c_3de9_0969);
+    assert_golden("mid-run faulted", &system, 289_115, 0x560c_a991_085b_64db);
 }
